@@ -7,6 +7,7 @@ usage and I/O problems (bad flags, malformed files, requests out of reach).
 All numeric output is printed with 15 significant digits.
 """
 
+import collections
 import functools
 import json
 import math
@@ -37,6 +38,7 @@ from .errors import (
 )
 from .solver import (
     SEED_KINDS,
+    STOP_REASONS,
     SearchConfig,
     brute_force_permutations,
     multi_seed_search,
@@ -384,7 +386,10 @@ def search_cmd(
 ):
     """Multi-seed alternating-projection sweep toward a 2-unitary of order dim**2.
 
-    Exits 0 when at least one seed converges below --tol, 1 otherwise.
+    Each seed stops when it converges, when its defect trace has stopped
+    moving (stalled), or at --max-iter; a tally of these stop reasons
+    follows the summary. Exits 0 when at least one seed converges below
+    --tol, 1 otherwise.
     """
     base = None
     if base_matrix_path is not None:
@@ -405,6 +410,11 @@ def search_cmd(
         f"rate {_fmt(summary.convergence_rate)}"
     )
     click.echo(f"best terminal defect {_fmt(summary.best_defect)} (tol {_fmt(tol)})")
+    reasons = collections.Counter(r.stop_reason for r in runs)
+    click.echo(
+        "stop reasons: "
+        + ", ".join(f"{reason} {reasons[reason]}" for reason in STOP_REASONS)
+    )
     if summary.n_converged:
         iters = sorted(
             n for n, count in summary.iteration_histogram.items() for _ in range(count)

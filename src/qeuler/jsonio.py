@@ -54,6 +54,11 @@ def _pairs(arr) -> list:
     return [[float(z.real), float(z.imag)] for z in flat]
 
 
+def _is_int(x) -> bool:
+    """An integer that is not a bool (bool is a subclass of int in Python)."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def _unpairs(entries, expected, what) -> np.ndarray:
     if not isinstance(entries, list):
         raise FormatError(f"{what}: entries must be a list")
@@ -66,7 +71,7 @@ def _unpairs(entries, expected, what) -> np.ndarray:
         if (
             not isinstance(pair, (list, tuple))
             or len(pair) != 2
-            or not all(isinstance(x, (int, float)) for x in pair)
+            or not all(_is_int(x) or isinstance(x, float) for x in pair)
         ):
             raise FormatError(f"{what}: entry {idx} is not a [re, im] pair")
         out[idx] = complex(pair[0], pair[1])
@@ -81,7 +86,7 @@ def _need(obj, key, what):
 
 def _need_int(obj, key, what, minimum=1):
     value = _need(obj, key, what)
-    if not isinstance(value, int) or value < minimum:
+    if not _is_int(value) or value < minimum:
         raise FormatError(f"{what}: {key} must be an integer >= {minimum}, got {value!r}")
     return value
 
@@ -106,9 +111,9 @@ def matrix_to_json(m, block_dim: int | None = None) -> dict:
 def matrix_from_json(obj) -> np.ndarray:
     order = _need(obj, "order", "matrix")
     block = _need(obj, "block_dim", "matrix")
-    if not isinstance(order, int) or order < 1:
+    if not _is_int(order) or order < 1:
         raise FormatError(f"matrix: bad order {order!r}")
-    if not isinstance(block, int) or block < 1 or (block > 1 and block * block != order):
+    if not _is_int(block) or block < 1 or (block > 1 and block * block != order):
         raise FormatError(f"matrix: block_dim {block!r} does not match order {order}")
     entries = _unpairs(_need(obj, "entries", "matrix"), order * order, "matrix")
     return entries.reshape(order, order)
@@ -248,7 +253,7 @@ def state_to_json(state: PureState) -> dict:
 def state_from_json(obj) -> PureState:
     dims = _need(obj, "dims", "state")
     if not isinstance(dims, list) or not dims or not all(
-        isinstance(d, int) and d >= 1 for d in dims
+        _is_int(d) and d >= 1 for d in dims
     ):
         raise FormatError(f"state: bad dims {dims!r}")
     total = math.prod(dims)
@@ -279,6 +284,7 @@ def search_result_to_json(config, runs, summary, jobs=None) -> dict:
                 "converged": bool(run.converged),
                 "iterations_used": int(run.iterations_used),
                 "final_defect": float(run.defect_trace[-1]),
+                "stop_reason": run.stop_reason,
             }
             for run in runs
         ],

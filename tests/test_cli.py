@@ -182,6 +182,36 @@ def test_state_build_kind_mismatch(runner, tmp_path):
     assert result.exit_code == 2
 
 
+# JSON true is a Python bool, and bool is a subclass of int: every integer
+# field must still refuse it
+@pytest.mark.parametrize(
+    "command, doc",
+    [
+        (
+            ("state", "build", "--from", "matrix"),
+            {"order": True, "block_dim": 1, "entries": [[1, 0]]},
+        ),
+        (
+            ("state", "build", "--from", "matrix"),
+            {"order": 1, "block_dim": True, "entries": [[1, 0]]},
+        ),
+        (
+            ("state", "build", "--from", "matrix"),
+            {"order": 1, "block_dim": 1, "entries": [[True, 0]]},
+        ),
+        (("design", "verify"), {"kind": "ls", "d": True, "cells": [[0]]}),
+        (("state", "check"), {"dims": [True, True], "amplitudes": [[1, 0]]}),
+    ],
+    ids=["order", "block_dim", "entry", "d", "dims"],
+)
+def test_json_booleans_are_usage_errors(runner, tmp_path, command, doc):
+    path = tmp_path / "doc.json"
+    jsonio.save_json(doc, path)
+    result = invoke(runner, *command, "--in", str(path))
+    assert result.exit_code == 2
+    assert "error:" in result.output
+
+
 # ---------------------------------------------------------------------------
 # search command
 
@@ -217,6 +247,22 @@ def test_search_zero_convergence_exits_one(runner):
     )
     assert result.exit_code == 1
     assert "converged 0" in result.output
+
+
+def test_search_reports_stalled_runs(runner, tmp_path):
+    record = tmp_path / "record.json"
+    result = invoke(
+        runner, "search", "--dim", "2", "--seeds", "2", "--max-iter", "10000",
+        "--out", str(record),
+    )
+    assert result.exit_code == 1
+    lines = result.output.splitlines()
+    assert lines[0] == "runs 2, converged 0, rate 0"
+    assert lines[1].startswith("best terminal defect ")
+    assert lines[2] == "stop reasons: converged 0, stalled 2, max_iter 0"
+    doc = jsonio.load_json(record)
+    assert [run["stop_reason"] for run in doc["runs"]] == ["stalled", "stalled"]
+    assert all(run["iterations_used"] < 10_000 for run in doc["runs"])
 
 
 def test_search_env_var_seeds_the_sweep(runner, tmp_path, p9):

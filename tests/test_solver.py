@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from qeuler import (
     unitarity_defect,
 )
 from qeuler import jsonio
+from qeuler.solver import STALL_WINDOW
 
 import frozen
 import properties
@@ -230,6 +232,51 @@ def test_multi_seed_search_uses_consecutive_seeds(p9):
     assert [r.seed["rng_seed"] for r in runs] == [7, 8, 9]
     with pytest.raises(ValueError):
         multi_seed_search(SearchConfig(d=3), 0)
+
+
+# ---------------------------------------------------------------------------
+# stop reasons
+
+
+def test_flat_order_four_trace_stops_as_stalled():
+    # no 2-unitary of order 4 exists: the trace is flat within ~10 iterations
+    config = SearchConfig(d=2, rng_seed=3, max_iter=10_000)
+    run = search(config)
+    assert run.stop_reason == "stalled"
+    assert not run.converged
+    assert STALL_WINDOW <= run.iterations_used < STALL_WINDOW + 50
+    # the stop changes nothing but the length: running on gives the same defect
+    reference = _reference_trace(replace(config, max_iter=STALL_WINDOW + 500))
+    assert run.defect_trace[-1] == pytest.approx(reference[-1], rel=1e-9, abs=0)
+    assert abs(two_unitarity_defect(run.terminal) - run.defect_trace[-1]) <= 1e-12
+
+
+def test_slowly_moving_trace_is_not_cut_off():
+    # order 16 converges sublinearly from the built-in base: the defect is
+    # still falling when a window could first fire, so only max_iter ends it
+    max_iter = STALL_WINDOW + 300
+    run = search(SearchConfig(d=4, rng_seed=1000, max_iter=max_iter))
+    assert run.stop_reason == "max_iter"
+    assert run.iterations_used == max_iter
+    assert not run.converged
+
+
+def test_already_solved_seed_stops_as_converged(p9):
+    run = search(SearchConfig(d=3, epsilon=0.0, base_matrix=p9))
+    assert run.stop_reason == "converged"
+    assert run.converged
+
+
+def test_stalled_sweep_is_schedule_independent():
+    config = SearchConfig(d=2, max_iter=10_000)
+    serial, serial_summary = multi_seed_search(config, 3, jobs=1)
+    pooled, pooled_summary = multi_seed_search(config, 3, jobs=2)
+    assert serial_summary == pooled_summary
+    for a, b in zip(serial, pooled):
+        assert a.stop_reason == b.stop_reason == "stalled"
+        assert a.iterations_used == b.iterations_used
+        assert np.array_equal(a.defect_trace, b.defect_trace)
+        assert np.array_equal(a.terminal, b.terminal)
 
 
 # ---------------------------------------------------------------------------
