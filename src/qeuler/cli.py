@@ -337,7 +337,12 @@ def state_check(in_path, k, tol):
 @click.option("--epsilon", type=float, default=0.1, show_default=True)
 @click.option("--max-iter", type=int, default=None, help="Default 5000 for dim >= 6, else 2000.")
 @click.option("--tol", type=float, default=1e-10, show_default=True)
-@click.option("--jobs", type=int, default=None, help="Worker process cap (default: CPU count); 1 forces a serial sweep.")
+@click.option(
+    "--jobs",
+    type=int,
+    default=None,
+    help="Thread cap (default: CPU count); small sweeps and 1 run as one batch in the calling thread.",
+)
 @click.option(
     "--seed-matrix",
     "seed_matrix_path",

@@ -35,18 +35,31 @@ def block_dim(m) -> int:
     m = np.asarray(m)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise DimensionError(f"expected a square matrix, got shape {m.shape}")
-    d = math.isqrt(m.shape[0])
-    if d * d != m.shape[0]:
+    return _order_root(m.shape[0])
+
+
+def _order_root(order: int) -> int:
+    d = math.isqrt(order)
+    if d * d != order:
         raise DimensionError(
-            f"order {m.shape[0]} is not a perfect square; "
+            f"order {order} is not a perfect square; "
             "bipartite reorderings are undefined"
         )
     return d
 
 
-def _as_blocks(m):
-    d = block_dim(m)
-    return np.asarray(m).reshape(d, d, d, d), d
+def _reorder(m, axes) -> np.ndarray:
+    """Permute the block indices of every matrix of order d*d in m.
+
+    m is one square matrix or a stack of them along leading axes. Each is
+    read as (stack, a, i, b, j) with row a*d + i and column b*d + j, and
+    axes says which of those five axes each output axis takes.
+    """
+    m = np.asarray(m)
+    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
+        raise DimensionError(f"expected a square matrix, got shape {m.shape}")
+    d = _order_root(m.shape[-1])
+    return m.reshape(-1, d, d, d, d).transpose(axes).reshape(m.shape)
 
 
 def reshuffle(m, dual: bool = False) -> np.ndarray:
@@ -54,11 +67,10 @@ def reshuffle(m, dual: bool = False) -> np.ndarray:
 
     The entry at (a*d + i, b*d + j) lands at (a*d + b, i*d + j). With
     dual=True the mirrored variant is applied instead and the entry lands at
-    (j*d + i, b*d + a). Both variants are involutions.
+    (j*d + i, b*d + a). Both variants are involutions. A stack of matrices
+    along leading axes is reshuffled matrix by matrix.
     """
-    t, d = _as_blocks(m)
-    t = t.transpose(3, 1, 2, 0) if dual else t.transpose(0, 2, 1, 3)
-    return t.reshape(d * d, d * d)
+    return _reorder(m, (0, 4, 2, 3, 1) if dual else (0, 1, 3, 2, 4))
 
 
 def partial_transpose(m, side: str = "second") -> np.ndarray:
@@ -66,16 +78,14 @@ def partial_transpose(m, side: str = "second") -> np.ndarray:
 
     side="second" sends the entry at (a*d + i, b*d + j) to (a*d + j, b*d + i);
     side="first" sends it to (b*d + i, a*d + j). Applying one then the other
-    equals the ordinary transpose.
+    equals the ordinary transpose. A stack of matrices along leading axes is
+    transposed matrix by matrix.
     """
-    t, d = _as_blocks(m)
     if side == "second":
-        t = t.transpose(0, 3, 2, 1)
-    elif side == "first":
-        t = t.transpose(2, 1, 0, 3)
-    else:
-        raise ValueError("side must be 'first' or 'second'")
-    return t.reshape(d * d, d * d)
+        return _reorder(m, (0, 1, 4, 3, 2))
+    if side == "first":
+        return _reorder(m, (0, 3, 2, 1, 4))
+    raise ValueError("side must be 'first' or 'second'")
 
 
 def flattenings(t) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -91,12 +101,9 @@ def flattenings(t) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         raise DimensionError(
             f"expected a tensor with four equal axes, got shape {t.shape}"
         )
-    d = t.shape[0]
-    n = d * d
+    n = t.shape[0] ** 2
     x = t.reshape(n, n)
-    y = t.transpose(0, 2, 1, 3).reshape(n, n)
-    z = t.transpose(0, 3, 2, 1).reshape(n, n)
-    return x, y, z
+    return x, reshuffle(x), partial_transpose(x)
 
 
 @dataclass(frozen=True)
@@ -108,14 +115,20 @@ class PolarFactors:
 
 
 def robust_svd(m):
-    """Full SVD (p, s, qh) of a finite square complex matrix.
+    """Full SVD (p, s, qh) of a finite square complex matrix, or of a stack.
 
     LAPACK's divide-and-conquer driver (gesdd) sporadically fails to converge
     on long sweeps; the plain QR-iteration driver (gesvd) is the fallback.
+    When a stacked call fails, every matrix of the stack is retried on its
+    own, so only the one that failed goes to gesvd and no matrix's factors
+    depend on the others in its stack.
     """
     try:
         return np.linalg.svd(m)
     except np.linalg.LinAlgError:
+        if m.ndim > 2:
+            p, s, qh = zip(*map(robust_svd, m))
+            return np.stack(p), np.stack(s), np.stack(qh)
         import scipy.linalg
 
         return scipy.linalg.svd(m, lapack_driver="gesvd")
@@ -173,15 +186,17 @@ def unitarity_defect(m) -> float:
     return gram_defect(m)
 
 
-def gram_defect(m) -> float:
+def gram_defect(m):
     """Frobenius norm of m* m - I for a finite square complex array.
 
     The unchecked float core of unitarity_defect, for callers that already
-    know their matrix is finite.
+    know their matrix is finite. A stack of matrices along leading axes gives
+    an array of defects, one per matrix.
     """
-    g = m.conj().T @ m
-    np.fill_diagonal(g, g.diagonal() - 1)
-    return float(np.linalg.norm(g))
+    g = m.conj().swapaxes(-1, -2) @ m
+    g -= np.eye(m.shape[-1])
+    defect = np.linalg.norm(g, axis=(-2, -1))
+    return float(defect) if defect.ndim == 0 else defect
 
 
 def two_unitarity_defect(m) -> float:

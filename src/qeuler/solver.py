@@ -13,17 +13,22 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
-import multiprocessing
 import os
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
 
 import numpy as np
 
-from .errors import CapabilityError, DimensionError, NumericError
+from .errors import (
+    CapabilityError,
+    DimensionError,
+    InvalidDesignError,
+    NotAPrimePowerError,
+    NumericError,
+)
 from . import jsonio
-from .designs import cyclic_latin
+from .designs import cyclic_latin, mols_construct
 from .linalg import (
     gram_defect,
     partial_transpose,
@@ -42,6 +47,7 @@ __all__ = [
     "STOP_REASONS",
     "STALL_RTOL",
     "STALL_WINDOW",
+    "THREAD_MIN_SHARE",
     "seed_matrix",
     "sinkhorn_step",
     "search",
@@ -81,6 +87,12 @@ STOP_REASONS = ("converged", "stalled", "max_iter")
 # window is about four times that.
 STALL_RTOL = 1e-9
 STALL_WINDOW = 2000
+
+# multi_seed_search splits a sweep over threads only when each thread gets at
+# least this many matrix entries: seeds per thread times n*n for matrices of
+# order n = d*d. Smaller shares measured faster as one batch in the calling
+# thread, larger ones faster split.
+THREAD_MIN_SHARE = 256
 
 
 @dataclass(frozen=True)
@@ -236,57 +248,81 @@ def search(config: SearchConfig) -> SearchRun:
     from one Gram product each. It equals two_unitarity_defect of the polar
     factor up to rounding.
     """
-    x = np.asarray(seed_matrix(config), dtype=complex)
+    return _lockstep([config])[0]
+
+
+def _lockstep(configs) -> list:
+    """The searches of configs of one order, stepped side by side.
+
+    Each step makes one stacked SVD of the reshuffles and one of the partial
+    transposes for every run still going. Each run keeps its own trace,
+    anchor, tol, max_iter and stop reason, and leaves the stack when it
+    stops. Every operation acts on each matrix of the stack on its own, so a
+    run's numbers do not depend on the other runs beside it.
+    """
+    x = np.stack([np.asarray(seed_matrix(c), dtype=complex) for c in configs])
     if not np.all(np.isfinite(x)):
         raise NumericError("seed matrix has non-finite entries")
     p, _, qh = robust_svd(x)
     v = p @ qh
-    trace = []
+    live = list(range(len(configs)))  # the config of each row of the stack
+    max_iter = [c.resolved_max_iter for c in configs]
+    anchor = [0] * len(configs)
+    traces = [[] for _ in configs]
+    runs = [None] * len(configs)
     n = 0
-    anchor = 0
-    max_iter = config.resolved_max_iter
     while True:
         p, s, qh = robust_svd(reshuffle(v))
         s2 = s * s - 1.0
-        defect = max(
-            gram_defect(v),
-            math.sqrt(float(s2 @ s2)),
+        defect = np.maximum(
+            np.maximum(gram_defect(v), np.sqrt((s2 * s2).sum(axis=-1))),
             gram_defect(partial_transpose(v)),
         )
-        trace.append(defect)
-        if abs(defect - trace[anchor]) > STALL_RTOL * trace[anchor]:
-            anchor = n
-        if defect <= config.tol:
-            stop_reason = "converged"
-            break
-        if n - anchor >= STALL_WINDOW:
-            stop_reason = "stalled"
-            break
-        if n >= max_iter:
-            stop_reason = "max_iter"
-            break
+        stopped = []
+        for r, (i, value) in enumerate(zip(live, defect.tolist())):
+            trace = traces[i]
+            trace.append(value)
+            if abs(value - trace[anchor[i]]) > STALL_RTOL * trace[anchor[i]]:
+                anchor[i] = n
+            if value <= configs[i].tol:
+                reason = "converged"
+            elif n - anchor[i] >= STALL_WINDOW:
+                reason = "stalled"
+            elif n >= max_iter[i]:
+                reason = "max_iter"
+            else:
+                continue
+            runs[i] = SearchRun(
+                seed=configs[i].describe_seed(),
+                defect_trace=np.array(trace),
+                iterations_used=n,
+                converged=reason == "converged",
+                terminal=v[r].copy(),
+                stop_reason=reason,
+            )
+            stopped.append(r)
+        if stopped:
+            if len(stopped) == len(live):
+                return runs
+            keep = [r for r in range(len(live)) if r not in stopped]
+            live = [live[r] for r in keep]
+            p, qh = p[keep], qh[keep]
         p, _, qh = robust_svd(partial_transpose(p @ qh))
         v = p @ qh
         n += 1
-    return SearchRun(
-        seed=config.describe_seed(),
-        defect_trace=np.array(trace),
-        iterations_used=n,
-        converged=stop_reason == "converged",
-        terminal=v,
-        stop_reason=stop_reason,
-    )
 
 
 def multi_seed_search(config: SearchConfig, n_seeds: int, jobs: int | None = None):
     """Run n_seeds independent searches with seeds rng_seed + 0..n_seeds-1.
 
-    Runs share nothing mutable and are collected in seed order, so the result
-    does not depend on scheduling. The runs go to a pool of worker processes:
-    at small orders the per-iteration cost is Python overhead that holds the
-    GIL, so threads would run slower than a serial sweep. jobs caps the
-    number of worker processes (default: the CPU count), never more than
-    n_seeds; jobs=1 forces a serial sweep in the calling process.
+    The searches run in lockstep batches, one stacked SVD per step for a
+    whole batch. The sweep is split into min(jobs, n_seeds) batches of
+    consecutive seeds, one per thread (jobs defaults to the CPU count; the
+    SVDs and matrix products release the GIL), unless a thread's share of
+    seeds times n*n would be below THREAD_MIN_SHARE: then, as with jobs=1,
+    the whole sweep is one batch in the calling thread. A run's result does
+    not depend on its batch, so the sweep is the same bit for bit whatever
+    jobs says, and each run equals search() of its own config.
     """
     if n_seeds < 1:
         raise ValueError("need at least one seed")
@@ -298,13 +334,15 @@ def multi_seed_search(config: SearchConfig, n_seeds: int, jobs: int | None = Non
         replace(config, rng_seed=config.rng_seed + i) for i in range(n_seeds)
     ]
     workers = min(n_seeds, jobs or os.cpu_count() or 1)
+    if n_seeds // workers * config.d**4 < THREAD_MIN_SHARE:
+        workers = 1
     if workers == 1:
-        runs = [search(c) for c in configs]
+        runs = _lockstep(configs)
     else:
-        # spawn, not fork: the parent already runs BLAS threads
-        spawn = multiprocessing.get_context("spawn")
-        with ProcessPoolExecutor(max_workers=workers, mp_context=spawn) as pool:
-            runs = list(pool.map(search, configs))
+        cuts = [n_seeds * w // workers for w in range(workers + 1)]
+        batches = [configs[a:b] for a, b in zip(cuts, cuts[1:])]
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            runs = [run for batch in pool.map(_lockstep, batches) for run in batch]
     n_conv = sum(r.converged for r in runs)
     hist = {}
     for r in runs:
@@ -361,10 +399,14 @@ def _near_ols_permutation(d: int):
 
     Local search over pairs of Latin squares (intercalate flips, greedy, with
     seeded restarts) maximizes the number of distinct (rank, suit) pairs.
-    Cells holding duplicate pairs are then refilled with the unused pairs, so
-    the encoding is a genuine permutation even when no orthogonal pair of
-    this order exists. Returns (permutation matrix, distinct-pair count of
-    the unrepaired squares).
+    Where local search ends short of d*d pairs and the finite-field
+    construction applies (prime-power d >= 3), its first two squares are used
+    instead: intercalate flips cannot move cyclic squares of prime order, and
+    stop at 17/25, 35/49, 62/64 and 58/81 at orders 5, 7, 8 and 9. Otherwise
+    cells holding duplicate pairs are refilled with the unused pairs, so the
+    encoding is a genuine permutation even when no orthogonal pair of this
+    order exists. Returns (permutation matrix, distinct-pair count of the
+    unrepaired squares).
     """
     if d < 2:
         raise DimensionError(f"need order >= 2, got {d}")
@@ -395,6 +437,12 @@ def _near_ols_permutation(d: int):
         if best_count == d * d:
             break
     ranks, suits = best
+    if best_count < d * d:
+        try:
+            ranks, suits = mols_construct(d)[:2]
+            best_count = d * d
+        except (NotAPrimePowerError, InvalidDesignError):
+            pass
     perm = _repair_to_permutation(ranks, suits)
     return perm, best_count
 

@@ -25,7 +25,9 @@ from qeuler import (
     unitarity_defect,
 )
 from qeuler import jsonio
-from qeuler.solver import STALL_WINDOW
+from qeuler import solver
+from qeuler.linalg import robust_svd
+from qeuler.solver import STALL_WINDOW, THREAD_MIN_SHARE
 
 import frozen
 import properties
@@ -209,13 +211,38 @@ def test_search_near_the_order_nine_solution_converges(p9):
             )
 
 
+def _same_run(a, b):
+    return (
+        a.iterations_used == b.iterations_used
+        and a.stop_reason == b.stop_reason
+        and np.array_equal(a.defect_trace, b.defect_trace)
+        and np.array_equal(a.terminal, b.terminal)
+    )
+
+
+def _assert_sweep_is_schedule_independent(config, n_seeds):
+    # every schedule gives every run exactly as search() gives it alone
+    alone = [search(replace(config, rng_seed=config.rng_seed + i)) for i in range(n_seeds)]
+    summaries = []
+    for jobs in (1, 2):
+        runs, summary = multi_seed_search(config, n_seeds, jobs=jobs)
+        summaries.append(summary)
+        assert len(runs) == n_seeds
+        for a, b in zip(runs, alone):
+            assert _same_run(a, b)
+    assert summaries[0] == summaries[1]
+    return alone
+
+
 def test_multi_seed_sweep_is_schedule_independent(p9):
-    config = SearchConfig(d=3, epsilon=0.2, base_matrix=p9, max_iter=30)
-    serial_runs, serial_summary = multi_seed_search(config, 5, jobs=1)
-    threaded_runs, threaded_summary = multi_seed_search(config, 5, jobs=4)
-    assert serial_summary == threaded_summary
-    for a, b in zip(serial_runs, threaded_runs):
-        assert np.array_equal(a.defect_trace, b.defect_trace)
+    _assert_sweep_is_schedule_independent(
+        SearchConfig(d=3, epsilon=0.2, base_matrix=p9, max_iter=30), 5
+    )
+    # at order 36 each of two seeds is a share above the cut-off, so jobs=2
+    # really splits the sweep over two threads
+    assert 36 * 36 >= THREAD_MIN_SHARE
+    runs = _assert_sweep_is_schedule_independent(SearchConfig(d=6, max_iter=12), 2)
+    assert [r.stop_reason for r in runs] == ["max_iter", "max_iter"]
 
 
 def test_multi_seed_search_rejects_worker_counts_below_one(p9):
@@ -267,16 +294,57 @@ def test_already_solved_seed_stops_as_converged(p9):
     assert run.converged
 
 
-def test_stalled_sweep_is_schedule_independent():
+def test_stalled_sweep_is_schedule_independent(monkeypatch):
     config = SearchConfig(d=2, max_iter=10_000)
-    serial, serial_summary = multi_seed_search(config, 3, jobs=1)
-    pooled, pooled_summary = multi_seed_search(config, 3, jobs=2)
-    assert serial_summary == pooled_summary
-    for a, b in zip(serial, pooled):
-        assert a.stop_reason == b.stop_reason == "stalled"
-        assert a.iterations_used == b.iterations_used
-        assert np.array_equal(a.defect_trace, b.defect_trace)
-        assert np.array_equal(a.terminal, b.terminal)
+    runs = _assert_sweep_is_schedule_independent(config, 3)
+    assert all(r.stop_reason == "stalled" for r in runs)
+    # runs that stall at different iterations leave their batch at different
+    # steps; with no cut-off, jobs=2 splits even these three seeds
+    assert len({r.iterations_used for r in runs}) > 1
+    monkeypatch.setattr(solver, "THREAD_MIN_SHARE", 0)
+    _assert_sweep_is_schedule_independent(config, 3)
+
+
+def test_svd_fallback_touches_only_the_failing_seed(monkeypatch):
+    import scipy.linalg
+
+    config = SearchConfig(d=3, max_iter=30)
+    clean, _ = multi_seed_search(config, 4, jobs=1)
+    marked_config = replace(config, rng_seed=config.rng_seed + 2)
+    marked = seed_matrix(marked_config)
+    other = seed_matrix(config)
+    real_svd, real_scipy_svd = np.linalg.svd, scipy.linalg.svd
+    expected = real_scipy_svd(marked, lapack_driver="gesvd")
+
+    def flaky_svd(m, *args, **kwargs):
+        # gesdd "fails" on any stack that holds the marked seed matrix
+        if any(np.array_equal(x, marked) for x in m.reshape(-1, *m.shape[-2:])):
+            raise np.linalg.LinAlgError("SVD did not converge")
+        return real_svd(m, *args, **kwargs)
+
+    fallbacks = []
+
+    def spy_svd(m, *args, **kwargs):
+        fallbacks.append(kwargs.get("lapack_driver"))
+        return real_scipy_svd(m, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", flaky_svd)
+    monkeypatch.setattr(scipy.linalg, "svd", spy_svd)
+    # the marked matrix gets scipy's gesvd factors, its neighbours gesdd's
+    p, s, qh = robust_svd(np.stack([other, marked, other]))
+    assert fallbacks == ["gesvd"]
+    for got, want in zip((p[1], s[1], qh[1]), expected):
+        assert np.array_equal(got, want)
+    for got, want in zip((p[2], s[2], qh[2]), real_svd(other)):
+        assert np.array_equal(got, want)
+    # in a sweep only the marked seed's run moves off the clean one
+    runs, _ = multi_seed_search(config, 4, jobs=1)
+    assert fallbacks == ["gesvd"] * 2
+    for i in (0, 1, 3):
+        assert _same_run(runs[i], clean[i])
+    assert _same_run(runs[2], search(marked_config))
+    assert fallbacks == ["gesvd"] * 3
+    assert runs[2].stop_reason == clean[2].stop_reason == "converged"
 
 
 # ---------------------------------------------------------------------------
@@ -302,6 +370,16 @@ def test_default_base_is_deterministic():
     b, count_b = default_base_permutation()
     assert np.array_equal(a, b)
     assert count_a == count_b
+
+
+def test_prime_power_bases_are_orthogonal_pairs():
+    # local search stops at 17, 35, 62 and 58 distinct pairs at these
+    # orders; the finite-field construction takes over
+    for d in (5, 7, 8, 9):
+        base, count = solver._near_ols_permutation(d)
+        assert count == d * d
+        assert base.shape == (d * d, d * d)
+        assert two_unitarity_defect(base) == 0.0
 
 
 def test_default_base_other_orders_are_refused():
