@@ -446,7 +446,12 @@ def search_cmd(
 
 
 @main.command("bruteforce")
-@click.option("--dim", type=int, required=True)
+@click.option(
+    "--dim",
+    type=int,
+    required=True,
+    help="Local dimension d (2 or 3); the permutations have order d**2.",
+)
 @click.option(
     "--out",
     "out_path",
@@ -456,7 +461,11 @@ def search_cmd(
 )
 @_guarded
 def bruteforce_cmd(dim, out_path):
-    """Exhaust all order dim**2 permutation matrices for exact 2-unitarity."""
+    """Exhaust all order dim**2 permutation matrices for exact 2-unitarity.
+
+    Places one column at a time and prunes at the first conflicting cell,
+    so every one of the (dim**2)! permutations is still decided.
+    """
     found = brute_force_permutations(dim)
     n = dim * dim
     click.echo(f"searched {math.factorial(n)} permutations of order {n}")

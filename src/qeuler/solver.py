@@ -495,8 +495,14 @@ def brute_force_permutations(d: int) -> list:
     """All order d*d permutation matrices that are 2-unitary, exhaustively.
 
     Feasible only for d = 2 (4! = 24 candidates, provably none pass) and
-    d = 3 (9! = 362880 candidates). Results are integer matrices in the
-    lexicographic order of the underlying permutations.
+    d = 3 (9! = 362880 candidates). Columns nu = 0..n-1 are placed one at a
+    time, each trying its row mu = a*d + i (nu = b*d + j) in increasing
+    order. A placement claims five cells: row mu itself, the reshuffle's row
+    (a, b) and column (i, j), and the partial transpose's row (a, j) and
+    column (b, i). The first cell claimed twice prunes the whole subtree,
+    which holds no solution, so all (d*d)! permutations are still decided.
+    Results are integer matrices in the lexicographic order of the
+    underlying permutations.
     """
     if d not in (2, 3):
         n = d * d if d >= 1 else 0
@@ -505,37 +511,31 @@ def brute_force_permutations(d: int) -> list:
             "of reach; d must be 2 or 3"
         )
     n = d * d
-    split = [divmod(mu, d) for mu in range(n)]
+    # masks[nu][mu]: the five cells as bits of five n-bit fields
+    split = [divmod(k, d) for k in range(n)]
+    masks = [
+        [
+            1 << mu | 1 << (n + a * d + b) | 1 << (2 * n + i * d + j)
+            | 1 << (3 * n + a * d + j) | 1 << (4 * n + b * d + i)
+            for mu, (a, i) in enumerate(split)
+        ]
+        for b, j in split
+    ]
+    perm = [0] * n
     results = []
-    for perm in itertools.permutations(range(n)):
-        seen_r_rows = 0
-        seen_r_cols = 0
-        seen_g_rows = 0
-        seen_g_cols = 0
-        ok = True
-        for nu in range(n):
-            a, i = split[perm[nu]]
-            b, j = split[nu]
-            r_row = 1 << (a * d + b)
-            r_col = 1 << (i * d + j)
-            g_row = 1 << (a * d + j)
-            g_col = 1 << (b * d + i)
-            if (
-                seen_r_rows & r_row
-                or seen_r_cols & r_col
-                or seen_g_rows & g_row
-                or seen_g_cols & g_col
-            ):
-                ok = False
-                break
-            seen_r_rows |= r_row
-            seen_r_cols |= r_col
-            seen_g_rows |= g_row
-            seen_g_cols |= g_col
-        if ok:
+
+    def place(nu, seen):
+        if nu == n:
             mat = np.zeros((n, n), dtype=np.int64)
-            mat[list(perm), np.arange(n)] = 1
+            mat[perm, np.arange(n)] = 1
             results.append(mat)
+            return
+        for mu, mask in enumerate(masks[nu]):
+            if not seen & mask:
+                perm[nu] = mu
+                place(nu + 1, seen | mask)
+
+    place(0, 0)
     return results
 
 

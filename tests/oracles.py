@@ -285,6 +285,23 @@ def all_latin_squares(d):
     return out
 
 
+def card_encoded_orthogonal_pairs(d):
+    """Card encodings of every ordered orthogonal Latin pair of order d, sorted.
+
+    Each pair (ranks, suits) becomes the one-positions per column of its
+    permutation matrix: column r*d + c holds its 1 in row
+    ranks[r, c]*d + suits[r, c].
+    """
+    squares = all_latin_squares(d)
+    return sorted(
+        tuple(int(ranks[r, c] * d + suits[r, c]) for r in range(d) for c in range(d))
+        for ranks in squares
+        for suits in squares
+        if len({(ranks[r, c], suits[r, c]) for r in range(d) for c in range(d)})
+        == d * d
+    )
+
+
 def oa_counts_by_loops(rows, levels, k):
     """Tuple counts for every k-column projection of a symbol array."""
     rows = np.asarray(rows)

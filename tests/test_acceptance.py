@@ -74,7 +74,7 @@ def test_criterion_01_exhaustive_permutation_search(tmp_path):
         1,
         ok,
         f"order 4: none of 24 in {t2:.3f}s; order 9: {doc['count']} of 362880 "
-        f"incl. the classic card pattern in {t3:.1f}s",
+        f"incl. the classic card pattern in {t3:.3f}s",
     )
 
 

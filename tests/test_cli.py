@@ -7,6 +7,8 @@ from click.testing import CliRunner
 from qeuler import jsonio, state_from_two_unitary, two_unitarity_defect
 from qeuler.cli import main
 
+import oracles
+
 
 @pytest.fixture
 def runner():
@@ -316,6 +318,18 @@ def test_bruteforce_order_four_finds_nothing(runner):
     assert result.exit_code == 0
     assert "searched 24 permutations of order 4" in result.output
     assert "0 found" in result.output
+
+
+def test_bruteforce_order_nine_writes_every_orthogonal_pair(runner, tmp_path):
+    path = tmp_path / "found.json"
+    result = invoke(runner, "bruteforce", "--dim", "3", "--out", str(path))
+    assert result.exit_code == 0
+    assert "searched 362880 permutations of order 9" in result.output
+    assert "72 found" in result.output
+    doc = jsonio.load_json(path)
+    assert doc["count"] == 72
+    expected = oracles.card_encoded_orthogonal_pairs(3)
+    assert doc["one_positions"] == [list(p) for p in expected]
 
 
 def test_bruteforce_out_of_reach_is_usage_error(runner):

@@ -30,6 +30,7 @@ from qeuler.linalg import robust_svd
 from qeuler.solver import STALL_WINDOW, THREAD_MIN_SHARE
 
 import frozen
+import oracles
 import properties
 
 
@@ -400,6 +401,19 @@ def test_order_nine_search_finds_the_classic_encoding(p9):
     assert len(found) >= 1
     assert any(np.array_equal(m, p9) for m in found)
     for m in found[:50]:
+        assert two_unitarity_defect(m) == 0.0
+
+
+def test_order_nine_search_is_every_orthogonal_pair_in_order():
+    # 12 Latin squares of order 3 give 72 ordered orthogonal pairs, each
+    # card-encoded independently of the search
+    assert len(oracles.all_latin_squares(3)) == 12
+    expected = oracles.card_encoded_orthogonal_pairs(3)
+    assert len(expected) == 72
+    found = brute_force_permutations(3)
+    assert [tuple(m.argmax(axis=0)) for m in found] == expected
+    for m in found:
+        assert m.dtype == np.int64
         assert two_unitarity_defect(m) == 0.0
 
 
