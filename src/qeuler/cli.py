@@ -75,10 +75,7 @@ def _guarded(fn):
         except QeulerError as exc:
             click.echo(f"failed: {exc}", err=True)
             sys.exit(MATH_FAILURE)
-        except (OSError, json.JSONDecodeError) as exc:
-            click.echo(f"error: {exc}", err=True)
-            sys.exit(USAGE_FAILURE)
-        except ValueError as exc:
+        except (OSError, ValueError) as exc:  # JSONDecodeError is a ValueError
             click.echo(f"error: {exc}", err=True)
             sys.exit(USAGE_FAILURE)
 

@@ -22,7 +22,7 @@ from .errors import (
     NotAPrimePowerError,
 )
 from .gf import _field_cached, prime_power_decompose
-from .linalg import block_dim
+from .linalg import block_dim, gram_defect
 
 __all__ = [
     "Violation",
@@ -421,29 +421,14 @@ def square_from_unitary_rows(u) -> QuantumSquare:
     return QuantumSquare(cells=arr.reshape(d, d, d * d))
 
 
-def _gram_residual(vectors):
-    g = np.conj(vectors) @ vectors.T
-    return float(np.linalg.norm(g - np.eye(vectors.shape[0])))
-
-
 def qls_verify(square: QuantumSquare, tol: float = 1e-10) -> DesignReport:
     """Quantum Latin square check: each row and column is an orthonormal set."""
-    d = square.d
-    violations = []
-    worst_row = worst_col = 0.0
-    for r in range(d):
-        res = _gram_residual(square.cells[r, :, :])
-        worst_row = max(worst_row, res)
-        if res > tol:
-            violations.append(Violation("row", (r,), res))
-    for c in range(d):
-        res = _gram_residual(square.cells[:, c, :])
-        worst_col = max(worst_col, res)
-        if res > tol:
-            violations.append(Violation("column", (c,), res))
-    return _report(
-        "qls", tol, violations, {"rows": worst_row, "columns": worst_col}
-    )
+    cells = square.cells  # [row, col, vector entry]
+    rows = gram_defect(cells.swapaxes(-1, -2)).tolist()
+    cols = gram_defect(cells.transpose(1, 2, 0)).tolist()
+    violations = [Violation("row", (r,), x) for r, x in enumerate(rows) if x > tol]
+    violations += [Violation("column", (c,), x) for c, x in enumerate(cols) if x > tol]
+    return _report("qls", tol, violations, {"rows": max(rows), "columns": max(cols)})
 
 
 def qols_verify(square: QuantumSquare, tol: float = 1e-10) -> DesignReport:
@@ -455,7 +440,9 @@ def qols_verify(square: QuantumSquare, tol: float = 1e-10) -> DesignReport:
       Q2-rows-trB / Q2-rows-trA   summed one-party overlaps of two rows are
                                   delta_ij times the identity,
       Q3-cols-trB / Q3-cols-trA   the same for columns.
-    The report's max_residual aggregates the families by their maximum.
+    A Q2/Q3 violation names the worst pair (i, j), the first in row-major
+    order on ties. The report's max_residual aggregates the families by
+    their maximum.
     """
     d = square.d
     if square.cell_dim != d * d:
@@ -464,48 +451,32 @@ def qols_verify(square: QuantumSquare, tol: float = 1e-10) -> DesignReport:
             "for the two-party conditions"
         )
     flat = square.cells.reshape(d * d, d * d)
-    eye_big = np.eye(d * d)
-    families = {}
-    violations = []
-
-    res = float(np.linalg.norm(np.conj(flat) @ flat.T - eye_big))
-    families["Q1"] = res
-    if res > tol:
-        violations.append(Violation("Q1", (), res))
-
-    res = float(np.linalg.norm(np.einsum("ma,mb->ab", flat, np.conj(flat)) - eye_big))
-    families["Q1-completeness"] = res
-    if res > tol:
-        violations.append(Violation("Q1-completeness", (), res))
-
+    worst = {
+        "Q1": (gram_defect(flat.T), ()),
+        "Q1-completeness": (gram_defect(flat), ()),
+    }
+    # summed one-party overlaps of every pair (i, j) of rows or columns, with
     # cells as d x d coefficient matrices: tr_B -> X Y*, tr_A -> X^T conj(Y)
     blocks = square.cells.reshape(d, d, d, d)  # [row, col, party1, party2]
-    eye_small = np.eye(d)
-    for family, axis_label in (("Q2-rows", 0), ("Q3-cols", 1)):
-        worst_b = worst_a = 0.0
-        where_b = where_a = ()
-        for i in range(d):
-            for j in range(d):
-                if axis_label == 0:
-                    xs, ys = blocks[i, :], blocks[j, :]  # sum over columns
-                else:
-                    xs, ys = blocks[:, i], blocks[:, j]  # sum over rows
-                target = eye_small if i == j else 0.0
-                m_b = np.einsum("kpq,krq->pr", xs, np.conj(ys))
-                m_a = np.einsum("kpq,kpr->qr", xs, np.conj(ys))
-                res_b = float(np.linalg.norm(m_b - target))
-                res_a = float(np.linalg.norm(m_a - target))
-                if res_b > worst_b:
-                    worst_b, where_b = res_b, (i, j)
-                if res_a > worst_a:
-                    worst_a, where_a = res_a, (i, j)
-        families[f"{family}-trB"] = worst_b
-        families[f"{family}-trA"] = worst_a
-        if worst_b > tol:
-            violations.append(Violation(f"{family}-trB", where_b, worst_b))
-        if worst_a > tol:
-            violations.append(Violation(f"{family}-trA", where_a, worst_a))
-
+    conj = blocks.conj()
+    diag = np.arange(d)
+    for family, spec in (
+        ("Q2-rows-trB", "ikpq,jkrq->ijpr"),
+        ("Q2-rows-trA", "ikpq,jkpr->ijqr"),
+        ("Q3-cols-trB", "kipq,kjrq->ijpr"),
+        ("Q3-cols-trA", "kipq,kjpr->ijqr"),
+    ):
+        m = np.einsum(spec, blocks, conj)
+        m[diag, diag] -= np.eye(d)
+        res = np.linalg.norm(m, axis=(-2, -1))
+        i, j = np.unravel_index(np.argmax(res), res.shape)
+        worst[family] = (float(res[i, j]), (int(i), int(j)))
+    violations = [
+        Violation(family, where, res)
+        for family, (res, where) in worst.items()
+        if res > tol
+    ]
+    families = {family: res for family, (res, _) in worst.items()}
     return _report("qols", tol, violations, families)
 
 

@@ -152,34 +152,15 @@ def polar_decompose(m) -> PolarFactors:
     return PolarFactors(positive_part=h, unitary_part=v)
 
 
-def _binary_int_or_none(m):
-    """An int64 copy of m when every entry is exactly 0 or 1, else None."""
-    if np.iscomplexobj(m):
-        if m.imag.any():
-            return None
-        m = m.real
-    if m.dtype.kind not in "iuf":
-        return None
-    if not np.all((m == 0) | (m == 1)):
-        return None
-    return m.astype(np.int64)
-
-
 def unitarity_defect(m) -> float:
     """Frobenius distance of m* m from the identity; 0 exactly iff unitary.
 
-    Matrices whose entries are exactly 0 or 1 (permutation candidates) are
-    checked in integer arithmetic so the zero is exact, never a rounding
-    artifact.
+    A checked front for gram_defect: m must be one finite square matrix. A
+    matrix of 0s and 1s gets an exact result, a permutation exactly 0.0.
     """
     m = np.asarray(m)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise DimensionError(f"unitarity defect needs a square matrix, got {m.shape}")
-    b = _binary_int_or_none(m)
-    if b is not None:
-        g = b.T @ b
-        np.fill_diagonal(g, g.diagonal() - 1)
-        return math.sqrt(int((g * g).sum()))
     m = np.asarray(m, dtype=complex)
     if not np.all(np.isfinite(m)):
         raise NumericError("matrix has non-finite entries")
@@ -187,11 +168,14 @@ def unitarity_defect(m) -> float:
 
 
 def gram_defect(m):
-    """Frobenius norm of m* m - I for a finite square complex array.
+    """Frobenius norm of m* m - I: whether the columns of m are orthonormal.
 
-    The unchecked float core of unitarity_defect, for callers that already
-    know their matrix is finite. A stack of matrices along leading axes gives
-    an array of defects, one per matrix.
+    m is a finite complex n x k matrix, or a stack of them along leading
+    axes, which gives an array of defects, one per matrix. The unchecked core
+    of every unitarity residual in the package. It needs no integer path:
+    for entries 0 and 1 every Gram entry and every square summed is a small
+    integer, which floating point holds exactly, so a permutation matrix
+    gives exactly 0.0.
     """
     g = m.conj().swapaxes(-1, -2) @ m
     g -= np.eye(m.shape[-1])
@@ -203,15 +187,11 @@ def two_unitarity_defect(m) -> float:
     """Worst unitarity defect among m, reshuffle(m) and partial_transpose(m).
 
     Zero exactly iff m is 2-unitary. The maximum (not the sum) is reported so
-    the value reads directly as "the worst of the three conditions".
+    the value reads directly as "the worst of the three conditions". These
+    are the three unfoldings of multi_unitarity_check at half-order 2.
     """
     m = np.asarray(m)
-    block_dim(m)
-    return max(
-        unitarity_defect(m),
-        unitarity_defect(reshuffle(m)),
-        unitarity_defect(partial_transpose(m)),
-    )
+    return multi_unitarity_check(m, block_dim(m), 2).max_defect
 
 
 @dataclass(frozen=True)

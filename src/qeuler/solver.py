@@ -30,9 +30,9 @@ from .errors import (
 from . import jsonio
 from .designs import cyclic_latin, mols_construct
 from .linalg import (
+    block_dim,
     gram_defect,
     partial_transpose,
-    polar_decompose,
     reshuffle,
     robust_svd,
 )
@@ -222,10 +222,26 @@ def sinkhorn_step(x) -> np.ndarray:
     Polar-projects x onto the unitaries, polar-projects the reshuffle of the
     result, and returns the partial transpose of that. The output is always
     the partial transpose of a unitary, and a 2-unitary input keeps defect 0.
+    search iterates this same step.
     """
-    v = polar_decompose(x).unitary_part
-    w = polar_decompose(reshuffle(v)).unitary_part
-    return partial_transpose(w)
+    x = np.asarray(x, dtype=complex)
+    block_dim(x)
+    if not np.all(np.isfinite(x)):
+        raise NumericError("matrix has non-finite entries")
+    return _step(x)[0]
+
+
+def _step(x):
+    """The update of a finite matrix, or of a stack, with what it computed.
+
+    Returns (partial_transpose(W), V, s): V is the unitary polar factor of x,
+    s the singular values of reshuffle(V), and W the unitary polar factor of
+    reshuffle(V). The two SVDs of an iteration are made here and nowhere else.
+    """
+    p, _, qh = robust_svd(x)
+    v = p @ qh
+    p, s, qh = robust_svd(reshuffle(v))
+    return partial_transpose(p @ qh), v, s
 
 
 def search(config: SearchConfig) -> SearchRun:
@@ -242,9 +258,10 @@ def search(config: SearchConfig) -> SearchRun:
     the run stops once the anchor has held for STALL_WINDOW iterations.
     Otherwise it stops after max_iter iterations.
 
-    Each trace entry is taken from what the step already holds: the U^R term
+    Each iteration is one call of the step behind sinkhorn_step, and each
+    trace entry is taken from what that step already holds: the U^R term
     ||Y*Y - I|| = sqrt(sum((s**2 - 1)**2)) from the singular values s of the
-    reshuffle Y that the next step decomposes anyway, the U and U^Gamma terms
+    reshuffle Y that the step decomposes anyway, the U and U^Gamma terms
     from one Gram product each. It equals two_unitarity_defect of the polar
     factor up to rounding.
     """
@@ -254,17 +271,16 @@ def search(config: SearchConfig) -> SearchRun:
 def _lockstep(configs) -> list:
     """The searches of configs of one order, stepped side by side.
 
-    Each step makes one stacked SVD of the reshuffles and one of the partial
-    transposes for every run still going. Each run keeps its own trace,
-    anchor, tol, max_iter and stop reason, and leaves the stack when it
-    stops. Every operation acts on each matrix of the stack on its own, so a
-    run's numbers do not depend on the other runs beside it.
+    Each iteration is one _step of the stack of runs still going: one stacked
+    SVD of the iterates and one of the reshuffles. Each run keeps its own
+    trace, anchor, tol, max_iter and stop reason, and leaves the stack when
+    it stops, before the next step. Every operation acts on each matrix of
+    the stack on its own, so a run's numbers do not depend on the other runs
+    beside it.
     """
     x = np.stack([np.asarray(seed_matrix(c), dtype=complex) for c in configs])
     if not np.all(np.isfinite(x)):
         raise NumericError("seed matrix has non-finite entries")
-    p, _, qh = robust_svd(x)
-    v = p @ qh
     live = list(range(len(configs)))  # the config of each row of the stack
     max_iter = [c.resolved_max_iter for c in configs]
     anchor = [0] * len(configs)
@@ -272,7 +288,7 @@ def _lockstep(configs) -> list:
     runs = [None] * len(configs)
     n = 0
     while True:
-        p, s, qh = robust_svd(reshuffle(v))
+        x, v, s = _step(x)
         s2 = s * s - 1.0
         defect = np.maximum(
             np.maximum(gram_defect(v), np.sqrt((s2 * s2).sum(axis=-1))),
@@ -306,9 +322,7 @@ def _lockstep(configs) -> list:
                 return runs
             keep = [r for r in range(len(live)) if r not in stopped]
             live = [live[r] for r in keep]
-            p, qh = p[keep], qh[keep]
-        p, _, qh = robust_svd(partial_transpose(p @ qh))
-        v = p @ qh
+            x = x[keep]
         n += 1
 
 

@@ -159,10 +159,7 @@ def reduced_density(state: PureState, keep) -> np.ndarray:
     if len(keep) == n:
         amps = state.amplitudes
         return np.outer(amps, np.conj(amps))
-    rest = tuple(q for q in range(n) if q not in keep)
-    dk = math.prod(state.dims[q] for q in keep)
-    dr = math.prod(state.dims[q] for q in rest)
-    mat = state.tensor().transpose(keep + rest).reshape(dk, dr)
+    mat = _coefficient_matrix(state, keep, tuple(q for q in range(n) if q not in keep))
     return mat @ np.conj(mat.T)
 
 
@@ -180,13 +177,24 @@ class UniformityReport:
     note: str = ""
 
 
-def _marginal_residuals(state: PureState, subsets):
+def _uniformity_report(state: PureState, kind, k, subsets, tol, note=""):
+    """Marginal flatness of the given k-party subsets, worst one named."""
     residuals = {}
     for keep in subsets:
         dk = math.prod(state.dims[q] for q in keep)
         rho = reduced_density(state, keep)
         residuals[keep] = float(np.linalg.norm(rho - np.eye(dk) / dk))
-    return residuals
+    worst = max(residuals, key=residuals.get)
+    return UniformityReport(
+        kind=kind,
+        k=k,
+        tol=tol,
+        passed=residuals[worst] <= tol,
+        subset_residuals=residuals,
+        max_residual=residuals[worst],
+        worst_subset=worst,
+        note=note,
+    )
 
 
 def k_uniform_check(state: PureState, k: int, tol: float = 1e-10):
@@ -194,17 +202,8 @@ def k_uniform_check(state: PureState, k: int, tol: float = 1e-10):
     n = state.n_parties
     if not 1 <= k <= n // 2:
         raise ValueError(f"k must satisfy 1 <= k <= {n // 2}, got {k}")
-    residuals = _marginal_residuals(state, itertools.combinations(range(n), k))
-    worst = max(residuals, key=residuals.get)
-    return UniformityReport(
-        kind="k-uniform",
-        k=k,
-        tol=tol,
-        passed=residuals[worst] <= tol,
-        subset_residuals=residuals,
-        max_residual=residuals[worst],
-        worst_subset=worst,
-    )
+    subsets = itertools.combinations(range(n), k)
+    return _uniformity_report(state, "k-uniform", k, subsets, tol)
 
 
 def ame_check(state: PureState, tol: float = 1e-10):
@@ -221,34 +220,16 @@ def ame_check(state: PureState, tol: float = 1e-10):
         )
     if n < 2:
         raise DimensionError("need at least two parties")
-    if n % 2:
-        report = k_uniform_check(state, (n - 1) // 2, tol)
-        return UniformityReport(
-            kind="ame",
-            k=report.k,
-            tol=tol,
-            passed=report.passed,
-            subset_residuals=report.subset_residuals,
-            max_residual=report.max_residual,
-            worst_subset=report.worst_subset,
-            note=f"odd party count: maximal entanglement means {report.k}-uniformity",
-        )
     k = n // 2
-    subsets = [
-        (0,) + rest for rest in itertools.combinations(range(1, n), k - 1)
-    ]
-    residuals = _marginal_residuals(state, subsets)
-    worst = max(residuals, key=residuals.get)
-    return UniformityReport(
-        kind="ame",
-        k=k,
-        tol=tol,
-        passed=residuals[worst] <= tol,
-        subset_residuals=residuals,
-        max_residual=residuals[worst],
-        worst_subset=worst,
-        note="complementary marginals share spectra; only subsets with party 0 listed",
-    )
+    if n % 2:
+        subsets = itertools.combinations(range(n), k)
+        note = f"odd party count: maximal entanglement means {k}-uniformity"
+    else:
+        subsets = [
+            (0,) + rest for rest in itertools.combinations(range(1, n), k - 1)
+        ]
+        note = "complementary marginals share spectra; only subsets with party 0 listed"
+    return _uniformity_report(state, "ame", k, subsets, tol, note)
 
 
 def ame_from_ols(pair: OrthogonalLatinPair) -> PureState:

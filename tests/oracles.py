@@ -7,6 +7,7 @@ on random inputs.
 """
 
 import itertools
+import math
 
 import numpy as np
 
@@ -84,10 +85,100 @@ def unfolding_by_row_axes(t, d, n_axes, row_axes):
     return mat
 
 
+def unitarity_defect_by_integers(m):
+    """||B^T B - I||_F of a matrix B of 0s and 1s, in integer arithmetic.
+
+    sqrt(int(sum((B^T B - I)**2))): only the final square root rounds.
+    """
+    b = np.asarray(m)
+    if np.iscomplexobj(b):
+        b = b.real
+    b = b.astype(np.int64)
+    g = b.T @ b - np.eye(b.shape[0], dtype=np.int64)
+    return math.sqrt(int((g * g).sum()))
+
+
 def is_unitary_matrix(m, tol=1e-10):
     m = np.asarray(m, dtype=complex)
     g = np.conj(m.T) @ m
     return bool(np.linalg.norm(g - np.eye(m.shape[0])) <= tol)
+
+
+# ---------------------------------------------------------------------------
+# quantum square conditions by explicit summation
+
+
+def _gram_residual_by_loops(vectors):
+    """sqrt(sum |<v_a, v_b> - delta_ab|**2) over a list of vectors."""
+    total = 0.0
+    for a, va in enumerate(vectors):
+        for b, vb in enumerate(vectors):
+            g = sum(x.conjugate() * y for x, y in zip(va, vb)) - (a == b)
+            total += abs(g) ** 2
+    return math.sqrt(total)
+
+
+def qols_residuals_by_loops(cells):
+    """Residuals of the quantum Latin and orthogonal Latin conditions, looped.
+
+    cells[r][c] is a vector of length d*d, read for Q2/Q3 as the d x d
+    coefficient matrix X[p][q] = cells[r][c][p*d + q]. Returns a dict:
+      "rows", "columns"   lists of the Gram residual of each row / column,
+      "Q1", "Q1-completeness"   (residual, ()),
+      "Q2-rows-trB", "Q2-rows-trA", "Q3-cols-trB", "Q3-cols-trA"
+          (worst residual, its pair (i, j)), the first worst pair in
+          row-major order, plus the residual of every pair under the same
+          key with "-pairs" appended, as a d x d list.
+    For a pair (i, j) of rows, trB sums X Y* over the d cells k of the two
+    rows (X in row i, Y in row j) and trA sums X^T conj(Y); the residual is
+    the Frobenius distance of that d x d sum from delta_ij times the
+    identity. Q3 does the same for columns.
+    """
+    cells = np.asarray(cells, dtype=complex).tolist()
+    d = len(cells)
+    out = {
+        "rows": [_gram_residual_by_loops(cells[r]) for r in range(d)],
+        "columns": [
+            _gram_residual_by_loops([cells[r][c] for r in range(d)]) for c in range(d)
+        ],
+    }
+    all_cells = [cells[r][c] for r in range(d) for c in range(d)]
+    out["Q1"] = (_gram_residual_by_loops(all_cells), ())
+    total = 0.0
+    for a in range(d * d):
+        for b in range(d * d):
+            g = sum(v[a] * v[b].conjugate() for v in all_cells) - (a == b)
+            total += abs(g) ** 2
+    out["Q1-completeness"] = (math.sqrt(total), ())
+
+    def cell(family, k, i):
+        return cells[i][k] if family.startswith("Q2") else cells[k][i]
+
+    for family in ("Q2-rows-trB", "Q2-rows-trA", "Q3-cols-trB", "Q3-cols-trA"):
+        pairs = [[0.0] * d for _ in range(d)]
+        worst, where = -1.0, None
+        for i in range(d):
+            for j in range(d):
+                total = 0.0
+                for p in range(d):
+                    for r in range(d):
+                        m = 0j
+                        for k in range(d):
+                            x, y = cell(family, k, i), cell(family, k, j)
+                            for q in range(d):
+                                if family.endswith("trB"):
+                                    m += x[p * d + q] * y[r * d + q].conjugate()
+                                else:
+                                    m += x[q * d + p] * y[q * d + r].conjugate()
+                        if i == j and p == r:
+                            m -= 1
+                        total += abs(m) ** 2
+                pairs[i][j] = math.sqrt(total)
+                if pairs[i][j] > worst:
+                    worst, where = pairs[i][j], (i, j)
+        out[family] = (worst, where)
+        out[family + "-pairs"] = pairs
+    return out
 
 
 # ---------------------------------------------------------------------------

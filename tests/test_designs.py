@@ -305,6 +305,80 @@ def test_unitary_rows_pass_iff_two_unitary(classic_pair, p9, rng):
         assert report.passed == (two_unitarity_defect(u) <= 1e-10)
 
 
+def _oracle_squares(d, rng):
+    """Random, locally rotated and one-cell-perturbed squares of order d."""
+    n = d * d
+    if d == 3:
+        base = classical_embed(
+            OrthogonalLatinPair(ranks=frozen.CLASSIC3_RANKS, suits=frozen.CLASSIC3_SUITS)
+        ).cells
+    else:  # no quantum orthogonal Latin square of order d from permutations
+        base = square_from_unitary_rows(np.eye(n)).cells
+    local = np.kron(random_unitary(d, rng), random_unitary(d, rng))
+    perturbed = base.copy()
+    perturbed[d - 1, 0] += 0.1 * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
+    return [
+        rng.standard_normal((d, d, n)) + 1j * rng.standard_normal((d, d, n)),
+        base @ local.T,
+        perturbed,
+    ]
+
+
+def _close(a, b):
+    return abs(a - b) <= 1e-12 * max(1.0, abs(b))
+
+
+@pytest.mark.parametrize("d", [2, 3, 6])
+def test_quantum_square_verifiers_match_loop_oracle(d, rng):
+    tol = 1e-10
+    for cells in _oracle_squares(d, rng):
+        square = QuantumSquare(cells=cells)
+        want = oracles.qols_residuals_by_loops(cells)
+
+        qls = qls_verify(square, tol)
+        assert _close(qls.family_residuals["rows"], max(want["rows"]))
+        assert _close(qls.family_residuals["columns"], max(want["columns"]))
+        for v in qls.violations:
+            line = want["rows" if v.condition == "row" else "columns"]
+            assert _close(v.residual, line[v.where[0]])
+        flagged = {(v.condition, v.where[0]) for v in qls.violations}
+        assert flagged == {
+            (name, i)
+            for name, key in (("row", "rows"), ("column", "columns"))
+            for i, res in enumerate(want[key])
+            if res > tol
+        }
+
+        qols = qols_verify(square, tol)
+        assert set(qols.family_residuals) == {
+            "Q1",
+            "Q1-completeness",
+            "Q2-rows-trB",
+            "Q2-rows-trA",
+            "Q3-cols-trB",
+            "Q3-cols-trA",
+        }
+        for family, res in qols.family_residuals.items():
+            assert _close(res, want[family][0]), family
+        assert {v.condition for v in qols.violations} == {
+            family for family in qols.family_residuals if want[family][0] > tol
+        }
+        for v in qols.violations:
+            worst, where = want[v.condition]
+            assert _close(v.residual, worst)
+            if v.condition.startswith("Q1"):
+                assert v.where == ()
+                continue
+            # the worst pair; where pairs tie up to rounding, any of them
+            pairs = want[v.condition + "-pairs"]
+            tied = [
+                (i, j) for i in range(d) for j in range(d) if _close(pairs[i][j], worst)
+            ]
+            assert v.where in tied
+            if len(tied) == 1:
+                assert v.where == where
+
+
 def test_no_order_two_quantum_pair_from_permutations():
     # classical impossibility survives the product-basis embedding
     for perm in itertools.permutations(range(4)):

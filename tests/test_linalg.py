@@ -159,9 +159,33 @@ def test_unitarity_defect_examples():
 
 
 def test_unitarity_defect_exact_on_permutations(p9):
-    # integer inputs go through exact arithmetic, so the zero is not rounded
+    # a float Gram product of 0/1 entries is exact, so the zero is not rounded
     assert unitarity_defect(p9) == 0.0
     assert two_unitarity_defect(p9) == 0.0
+
+
+@pytest.mark.parametrize("n", [4, 9, 36, 144])
+def test_binary_defects_equal_integer_arithmetic(n, rng):
+    d = math.isqrt(n)
+    perm = np.zeros((n, n), dtype=np.int64)
+    perm[rng.permutation(n), np.arange(n)] = 1
+    cases = [perm] + [
+        (rng.random((n, n)) < density).astype(np.int64) for density in (0.05, 0.5)
+    ]
+    for b in cases:
+        want = oracles.unitarity_defect_by_integers(b)
+        want2 = max(
+            want,
+            oracles.unitarity_defect_by_integers(oracles.reshuffle_by_enumeration(b, d)),
+            oracles.unitarity_defect_by_integers(
+                oracles.partial_transpose_by_enumeration(b, d)
+            ),
+        )
+        for dtype in (np.int64, float, complex):
+            m = b.astype(dtype)
+            assert unitarity_defect(m) == want
+            assert two_unitarity_defect(m) == want2
+    assert unitarity_defect(perm) == 0.0
 
 
 def test_unitarity_defect_invariant_under_unitaries(rng):

@@ -9,6 +9,7 @@ from qeuler import (
     CapabilityError,
     DimensionError,
     NotAnOlsError,
+    NumericError,
     SearchConfig,
     amplitude_profile,
     brute_force_permutations,
@@ -140,6 +141,17 @@ def test_step_output_is_partial_transpose_of_unitary(rng):
     assert unitarity_defect(partial_transpose(y)) <= 1e-12
 
 
+def test_step_checks_its_input(rng):
+    with pytest.raises(DimensionError):
+        sinkhorn_step(np.zeros((9, 8)))
+    with pytest.raises(DimensionError):
+        sinkhorn_step(np.eye(8))  # 8 is not a perfect square
+    x = rng.standard_normal((9, 9))
+    x[4, 2] = np.nan
+    with pytest.raises(NumericError):
+        sinkhorn_step(x)
+
+
 def test_two_unitary_point_is_fixed(p9):
     x = p9.astype(complex)
     for _ in range(10):
@@ -193,6 +205,19 @@ def test_search_trace_is_the_documented_defect(d):
     assert run.iterations_used == 50
     assert run.defect_trace.shape == reference.shape == (51,)
     assert np.max(np.abs(run.defect_trace - reference)) <= 1e-10
+
+
+@pytest.mark.parametrize("d", [2, 3, 6])
+def test_search_iterates_sinkhorn_step(d):
+    # one step function: k sinkhorn_steps from the seed, then a polar
+    # projection, give the terminal matrix of a k-iteration search
+    config = SearchConfig(d=d, rng_seed=2, max_iter=7, tol=1e-300)
+    run = search(config)
+    x = seed_matrix(config)
+    for _ in range(run.iterations_used):
+        x = sinkhorn_step(x)
+    assert run.iterations_used == 7
+    assert np.array_equal(polar_decompose(x).unitary_part, run.terminal)
 
 
 def test_search_near_the_order_nine_solution_converges(p9):
