@@ -388,10 +388,11 @@ def search_cmd(
 ):
     """Multi-seed alternating-projection sweep toward a 2-unitary of order dim**2.
 
-    Each seed stops when it converges, when its defect trace has stopped
-    moving (stalled), or at --max-iter; a tally of these stop reasons
-    follows the summary. Exits 0 when at least one seed converges below
-    --tol, 1 otherwise.
+    Each seed stops when it converges, when the map has reached a fixed
+    point that is not 2-unitary (stalled: the reshuffle's singular values
+    repeat those of three steps before), or at --max-iter; a tally of these
+    stop reasons follows the summary. Exits 0 when at least one seed
+    converges below --tol, 1 otherwise.
     """
     base = None
     if base_matrix_path is not None:

@@ -20,6 +20,7 @@ from .errors import (
     InvalidDesignError,
     NotAnOlsError,
     NotAPrimePowerError,
+    NumericError,
 )
 from .gf import _field_cached, prime_power_decompose
 from .linalg import block_dim, gram_defect
@@ -140,6 +141,8 @@ class QuantumSquare:
             raise DimensionError(
                 f"expected cells of shape (d, d, cell_dim), got {arr.shape}"
             )
+        if not np.all(np.isfinite(arr)):
+            raise NumericError("cells contain non-finite values")
         object.__setattr__(self, "cells", arr)
 
     @property

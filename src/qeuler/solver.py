@@ -46,7 +46,6 @@ __all__ = [
     "SEED_KINDS",
     "STOP_REASONS",
     "STALL_RTOL",
-    "STALL_WINDOW",
     "THREAD_MIN_SHARE",
     "seed_matrix",
     "sinkhorn_step",
@@ -80,13 +79,13 @@ SEED_KINDS = ("random-unitary", "perturbed-permutation", "user-matrix")
 
 STOP_REASONS = ("converged", "stalled", "max_iter")
 
-# A search stops as stalled once its defect has stayed within STALL_RTOL
-# (relative) of one trace entry for STALL_WINDOW iterations. In full traces
-# at orders 4, 9, 16 and 36 the longest flat stretch that a trace later left
-# was 510 iterations, on an order-36 run creeping onto its plateau; the
-# window is about four times that.
-STALL_RTOL = 1e-9
-STALL_WINDOW = 2000
+# A search stops as stalled once the singular values of its reshuffle have
+# moved by at most STALL_RTOL times its defect over the last three steps (see
+# search). One order-36 run (criterion 4's rng_seed 40) cycles with period 3
+# at lag-3 ratios between 5e-10 and 4e-9 without settling, so the threshold
+# sits an order below that; every run measured to stall at orders 4 and 36
+# ends within a relative 1e-10 of its defect after 5000 iterations.
+STALL_RTOL = 1e-10
 
 # multi_seed_search splits a sweep over threads only when each thread gets at
 # least this many matrix entries: seeds per thread times n*n for matrices of
@@ -252,11 +251,14 @@ def search(config: SearchConfig) -> SearchRun:
     2-unitary therefore converges at iteration 0. Runs are deterministic:
     the same config reproduces the same trace bit for bit.
 
-    A run also stops, as stalled, once its trace has stopped moving: an
-    anchor entry of the trace (entry 0 at first) is moved to the current
-    entry whenever the two differ by more than STALL_RTOL of the anchor, and
-    the run stops once the anchor has held for STALL_WINDOW iterations.
-    Otherwise it stops after max_iter iterations.
+    A run also stops, as stalled, once the map has reached a fixed point
+    that is not 2-unitary: at iteration n >= 3, when no singular value of
+    the reshuffle of the polar factor has moved by more than STALL_RTOL
+    times the defect since iteration n - 3. One step cycles the three index
+    pairings, so every third step returns to the same unfolding, and
+    singular values do not change under local unitaries, so drift along
+    that orbit does not count as movement. Otherwise it stops after
+    max_iter iterations.
 
     Each iteration is one call of the step behind sinkhorn_step, and each
     trace entry is taken from what that step already holds: the U^R term
@@ -273,17 +275,18 @@ def _lockstep(configs) -> list:
 
     Each iteration is one _step of the stack of runs still going: one stacked
     SVD of the iterates and one of the reshuffles. Each run keeps its own
-    trace, anchor, tol, max_iter and stop reason, and leaves the stack when
-    it stops, before the next step. Every operation acts on each matrix of
-    the stack on its own, so a run's numbers do not depend on the other runs
-    beside it.
+    trace, tol, max_iter and stop reason, and leaves the stack when it
+    stops, before the next step; the reshuffle spectra of the last three
+    steps, which the stall test compares, lose its row at the same time.
+    Every operation acts on each matrix of the stack on its own, so a run's
+    numbers do not depend on the other runs beside it.
     """
     x = np.stack([np.asarray(seed_matrix(c), dtype=complex) for c in configs])
     if not np.all(np.isfinite(x)):
         raise NumericError("seed matrix has non-finite entries")
     live = list(range(len(configs)))  # the config of each row of the stack
     max_iter = [c.resolved_max_iter for c in configs]
-    anchor = [0] * len(configs)
+    past = []  # s of the last three steps, oldest first, rows as in x
     traces = [[] for _ in configs]
     runs = [None] * len(configs)
     n = 0
@@ -294,15 +297,19 @@ def _lockstep(configs) -> list:
             np.maximum(gram_defect(v), np.sqrt((s2 * s2).sum(axis=-1))),
             gram_defect(partial_transpose(v)),
         )
+        if len(past) == 3:
+            moved = np.abs(s - past.pop(0)).max(axis=-1)
+            fixed = (moved <= STALL_RTOL * defect).tolist()
+        else:
+            fixed = [False] * len(live)
+        past.append(s)
         stopped = []
         for r, (i, value) in enumerate(zip(live, defect.tolist())):
             trace = traces[i]
             trace.append(value)
-            if abs(value - trace[anchor[i]]) > STALL_RTOL * trace[anchor[i]]:
-                anchor[i] = n
             if value <= configs[i].tol:
                 reason = "converged"
-            elif n - anchor[i] >= STALL_WINDOW:
+            elif fixed[r]:
                 reason = "stalled"
             elif n >= max_iter[i]:
                 reason = "max_iter"
@@ -323,6 +330,7 @@ def _lockstep(configs) -> list:
             keep = [r for r in range(len(live)) if r not in stopped]
             live = [live[r] for r in keep]
             x = x[keep]
+            past = [p[keep] for p in past]
         n += 1
 
 

@@ -100,6 +100,19 @@ def test_verify_mols_checks_every_pair(runner, tmp_path):
     assert "latin[2]: PASS" in result.output
 
 
+def test_verify_non_finite_quantum_square_is_a_math_failure(runner, tmp_path):
+    # Python's json reads the NaN token; a NaN cell must not verify as PASS
+    cells = [[[[1.0, 0.0]] + [[0.0, 0.0]] * 3] * 2] * 2
+    doc = {"kind": "qols", "d": 2, "cell_dim": 4, "cells": cells}
+    path = tmp_path / "nan.json"
+    path.write_text(json.dumps(doc).replace("1.0", "NaN", 1))
+    result = invoke(runner, "design", "verify", "--in", str(path))
+    assert result.exit_code == 1
+    assert "failed:" in result.output
+    assert "non-finite" in result.output
+    assert "PASS" not in result.output
+
+
 def test_verify_missing_file_is_usage_error(runner, tmp_path):
     result = invoke(runner, "design", "verify", "--in", str(tmp_path / "no.json"))
     assert result.exit_code == 2

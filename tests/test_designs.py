@@ -8,6 +8,7 @@ from qeuler import (
     InvalidDesignError,
     NotAPrimePowerError,
     NotAnOlsError,
+    NumericError,
     OrthogonalArray,
     OrthogonalLatinPair,
     QuantumOrthogonalArray,
@@ -285,6 +286,15 @@ def test_qls_verify_locates_repeated_cells():
     report = qls_verify(QuantumSquare(cells=cells))
     assert not report.passed
     assert any(v.condition == "row" and v.where == (0,) for v in report.violations)
+
+
+def test_quantum_square_rejects_non_finite_cells():
+    # a NaN cell would pass both verifiers: no residual compares above tol
+    for bad in (np.nan, np.inf):
+        cells = np.zeros((3, 3, 9), dtype=complex)
+        cells[1, 2, 4] = bad
+        with pytest.raises(NumericError):
+            QuantumSquare(cells=cells)
 
 
 def test_qols_verify_needs_bipartite_cells():

@@ -28,7 +28,7 @@ from qeuler import (
 from qeuler import jsonio
 from qeuler import solver
 from qeuler.linalg import robust_svd
-from qeuler.solver import STALL_WINDOW, THREAD_MIN_SHARE
+from qeuler.solver import THREAD_MIN_SHARE
 
 import frozen
 import oracles
@@ -202,8 +202,16 @@ def test_search_trace_is_the_documented_defect(d):
     config = SearchConfig(d=d, rng_seed=5, epsilon=0.1, max_iter=50, tol=1e-300)
     run = search(config)
     reference = _reference_trace(config)
-    assert run.iterations_used == 50
-    assert run.defect_trace.shape == reference.shape == (51,)
+    assert reference.shape == (51,)
+    # no 2-unitary of order 4 exists, and its run stalls within a few steps
+    if d == 2:
+        assert run.stop_reason == "stalled"
+        assert 3 <= run.iterations_used < 20
+    else:
+        assert run.stop_reason == "max_iter"
+        assert run.iterations_used == 50
+    assert run.defect_trace.shape == (run.iterations_used + 1,)
+    reference = reference[: run.iterations_used + 1]
     assert np.max(np.abs(run.defect_trace - reference)) <= 1e-10
 
 
@@ -297,21 +305,31 @@ def test_flat_order_four_trace_stops_as_stalled():
     run = search(config)
     assert run.stop_reason == "stalled"
     assert not run.converged
-    assert STALL_WINDOW <= run.iterations_used < STALL_WINDOW + 50
+    # the reshuffle spectrum settles within a few iterations; the stall rule
+    # compares it with the one three steps back, so it can fire from step 3
+    assert 3 <= run.iterations_used < 20
     # the stop changes nothing but the length: running on gives the same defect
-    reference = _reference_trace(replace(config, max_iter=STALL_WINDOW + 500))
+    reference = _reference_trace(replace(config, max_iter=2500))
     assert run.defect_trace[-1] == pytest.approx(reference[-1], rel=1e-9, abs=0)
     assert abs(two_unitarity_defect(run.terminal) - run.defect_trace[-1]) <= 1e-12
 
 
 def test_slowly_moving_trace_is_not_cut_off():
     # order 16 converges sublinearly from the built-in base: the defect is
-    # still falling when a window could first fire, so only max_iter ends it
-    max_iter = STALL_WINDOW + 300
+    # still falling after thousands of iterations, so only max_iter ends it
+    max_iter = 2300
     run = search(SearchConfig(d=4, rng_seed=1000, max_iter=max_iter))
     assert run.stop_reason == "max_iter"
     assert run.iterations_used == max_iter
     assert not run.converged
+
+
+def test_period_three_creep_is_not_cut_off():
+    # criterion 4's rng_seed 40 never settles: its trace cycles with period
+    # 3 at about 1e-9 relative, so a stall threshold of 1e-9 stops it early
+    run = search(SearchConfig(d=6, rng_seed=40, epsilon=0.1, max_iter=1500, tol=1e-8))
+    assert run.stop_reason == "max_iter"
+    assert run.iterations_used == 1500
 
 
 def test_already_solved_seed_stops_as_converged(p9):
