@@ -13,6 +13,7 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
+import operator
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
@@ -113,6 +114,10 @@ class SearchConfig:
     matrix_path: str | None = None
 
     def __post_init__(self):
+        try:
+            object.__setattr__(self, "d", operator.index(self.d))
+        except TypeError:
+            raise DimensionError(f"search needs an integer d, got {self.d!r}") from None
         if self.d < 2:
             raise DimensionError(f"search needs d >= 2, got {self.d}")
         if self.seed_kind not in SEED_KINDS:
@@ -390,29 +395,100 @@ def _random_latin(d, rng):
     return rng.permutation(d)[sq]
 
 
-def _distinct_pairs(ranks, suits):
-    return len({(int(v), int(s)) for v, s in zip(ranks.flat, suits.flat)})
-
-
 def _intercalate_flips(sq):
-    """All 2x2 subsquares whose flip keeps the square Latin."""
+    """All 2x2 subsquares whose flip keeps the square Latin.
+
+    Each is a list [r1, r2, c1, c2] with r1 < r2 and c1 < c2, in
+    lexicographic order.
+    """
     d = sq.shape[0]
-    out = []
-    for r1, r2 in itertools.combinations(range(d), 2):
-        for c1, c2 in itertools.combinations(range(d), 2):
-            if sq[r1, c1] == sq[r2, c2] and sq[r1, c2] == sq[r2, c1]:
-                out.append((r1, r2, c1, c2))
-    return out
+    # same[r1, r2, c1, c2]: sq[r1, c1] == sq[r2, c2]
+    same = sq[:, None, :, None] == sq[None, :, None, :]
+    upper = np.triu(np.ones((d, d), dtype=bool), 1)
+    hit = (
+        same
+        & same.transpose(0, 1, 3, 2)
+        & upper[:, :, None, None]
+        & upper[None, None, :, :]
+    )
+    return np.argwhere(hit).tolist()
 
 
-def _apply_flip(sq, flip):
-    r1, r2, c1, c2 = flip
-    sq[r1, c1], sq[r1, c2] = sq[r1, c2], sq[r1, c1]
-    sq[r2, c1], sq[r2, c2] = sq[r2, c2], sq[r2, c1]
+def _climb(ranks, suits, rng):
+    """Greedy intercalate-flip ascent of the distinct-pair count, in place.
+
+    Repeats passes over ranks then suits until a pass over both improves
+    nothing. A pass lists the square's flips once, shuffles them with rng and
+    tries each in turn, keeping it only when it raises the count. A flip
+    swaps the two columns of its 2x2 subsquare in the square as it stands,
+    even when an earlier flip of the pass has broken the intercalate. The
+    count is kept up to date from a table of pair multiplicities: a flip
+    moves the four pairs of its cells. Returns the final count.
+    """
+    d = ranks.shape[0]
+    # table[v*d + s]: the number of cells holding the pair (v, s)
+    table = np.bincount((ranks * d + suits).ravel(), minlength=d * d).tolist()
+    count = d * d - table.count(0)
+    improved = True
+    while improved:
+        improved = False
+        # the key of a cell's pair is scale * (its value in sq)
+        # + other_scale * (its value in the other square)
+        for sq, other, scale, other_scale in (
+            (ranks, suits, d, 1),
+            (suits, ranks, 1, d),
+        ):
+            flips = _intercalate_flips(sq)
+            rng.shuffle(flips)
+            rows = sq.tolist()
+            pairs = (other * other_scale).tolist()
+            for r1, r2, c1, c2 in flips:
+                row1, row2 = rows[r1], rows[r2]
+                p1, p2 = pairs[r1], pairs[r2]
+                x11, x12, x21, x22 = row1[c1], row1[c2], row2[c1], row2[c2]
+                old = (
+                    x11 * scale + p1[c1], x12 * scale + p1[c2],
+                    x21 * scale + p2[c1], x22 * scale + p2[c2],
+                )
+                new = (
+                    x12 * scale + p1[c1], x11 * scale + p1[c2],
+                    x22 * scale + p2[c1], x21 * scale + p2[c2],
+                )
+                new_count = count
+                for key in old:
+                    table[key] -= 1
+                    if not table[key]:
+                        new_count -= 1
+                for key in new:
+                    if not table[key]:
+                        new_count += 1
+                    table[key] += 1
+                if new_count > count:
+                    count = new_count
+                    improved = True
+                    row1[c1], row1[c2] = x12, x11
+                    row2[c1], row2[c2] = x22, x21
+                else:
+                    for key in new:
+                        table[key] -= 1
+                    for key in old:
+                        table[key] += 1
+            sq[...] = rows
+    return count
 
 
 _BASE_SEARCH_SEED = 36  # fixed: the default base must be reproducible
 _BASE_RESTARTS = 60
+
+# The most distinct (rank, suit) pairs two Latin squares of order d can
+# hold: d*d wherever an orthogonal pair exists, which is every order except
+# 2 and 6 (Bose, Shrikhande and Parker, 1960). At order 2 every pair of
+# squares gives exactly 2, and at order 6 the classical maximum is 34, the
+# best near miss to Euler's 36 officers (as quoted by Rather et al., Phys.
+# Rev. Lett. 128, 080507, 2022). No restart whose squares stay Latin can
+# beat a count that reaches this bound. (A pass can leave a square that is
+# not Latin, see _climb; at order 6 none of 3000 restarts tried did.)
+_MAX_DISTINCT_PAIRS = {2: 2, 6: 34}
 
 
 @lru_cache(maxsize=None)
@@ -421,42 +497,34 @@ def _near_ols_permutation(d: int):
 
     Local search over pairs of Latin squares (intercalate flips, greedy, with
     seeded restarts) maximizes the number of distinct (rank, suit) pairs.
-    Where local search ends short of d*d pairs and the finite-field
-    construction applies (prime-power d >= 3), its first two squares are used
-    instead: intercalate flips cannot move cyclic squares of prime order, and
-    stop at 17/25, 35/49, 62/64 and 58/81 at orders 5, 7, 8 and 9. Otherwise
-    cells holding duplicate pairs are refilled with the unused pairs, so the
-    encoding is a genuine permutation even when no orthogonal pair of this
-    order exists. Returns (permutation matrix, distinct-pair count of the
-    unrepaired squares).
+    The restarts stop early once one reaches the most pairs two Latin
+    squares of order d can hold (_MAX_DISTINCT_PAIRS: d*d, but 34 at order
+    6, where no orthogonal pair exists, and 2 at order 2); only a strictly
+    higher count replaces the best so far, so stopping there changes
+    nothing. Where local search ends short of d*d pairs and the
+    finite-field construction applies (prime-power d >= 3), its first two
+    squares are used instead: intercalate flips cannot move cyclic squares
+    of prime order, and stop at 17/25, 35/49, 62/64 and 58/81 at orders 5,
+    7, 8 and 9. Otherwise cells holding duplicate pairs are refilled with
+    the unused pairs, so the encoding is a genuine permutation even when no
+    orthogonal pair of this order exists. Returns (permutation matrix,
+    distinct-pair count of the unrepaired squares); the cached matrix is
+    read-only, since every caller shares it.
     """
     if d < 2:
         raise DimensionError(f"need order >= 2, got {d}")
     rng = np.random.default_rng(_BASE_SEARCH_SEED + d)
+    most = _MAX_DISTINCT_PAIRS.get(d, d * d)
     best_count = -1
     best = None
     for _ in range(_BASE_RESTARTS):
         ranks = _random_latin(d, rng)
         suits = _random_latin(d, rng)
-        count = _distinct_pairs(ranks, suits)
-        improved = True
-        while improved:
-            improved = False
-            for sq in (ranks, suits):
-                flips = _intercalate_flips(sq)
-                rng.shuffle(flips)
-                for flip in flips:
-                    _apply_flip(sq, flip)
-                    new_count = _distinct_pairs(ranks, suits)
-                    if new_count > count:
-                        count = new_count
-                        improved = True
-                    else:
-                        _apply_flip(sq, flip)  # undo
+        count = _climb(ranks, suits, rng)
         if count > best_count:
             best_count = count
-            best = (ranks.copy(), suits.copy())
-        if best_count == d * d:
+            best = (ranks, suits)
+        if best_count == most:
             break
     ranks, suits = best
     if best_count < d * d:
@@ -466,6 +534,7 @@ def _near_ols_permutation(d: int):
         except (NotAPrimePowerError, InvalidDesignError):
             pass
     perm = _repair_to_permutation(ranks, suits)
+    perm.flags.writeable = False
     return perm, best_count
 
 

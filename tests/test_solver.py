@@ -13,7 +13,9 @@ from qeuler import (
     SearchConfig,
     amplitude_profile,
     brute_force_permutations,
+    cyclic_latin,
     default_base_permutation,
+    mols_construct,
     multi_seed_search,
     partial_transpose,
     permutation_to_ols,
@@ -69,6 +71,14 @@ def test_search_config_validation():
         SearchConfig(d=3, tol=0.0)
     with pytest.raises(ValueError):
         SearchConfig(d=3, max_iter=-1)
+
+
+def test_search_config_takes_integer_orders_only():
+    for d in (2.0, 3.5, "3", None):
+        with pytest.raises(DimensionError):
+            SearchConfig(d=d)
+    config = SearchConfig(d=np.int64(3))
+    assert type(config.d) is int and config.d == 3
 
 
 def test_max_iter_defaults_scale_with_order():
@@ -424,6 +434,63 @@ def test_prime_power_bases_are_orthogonal_pairs():
         assert count == d * d
         assert base.shape == (d * d, d * d)
         assert two_unitarity_defect(base) == 0.0
+
+
+@pytest.mark.parametrize("d", range(2, 11))
+def test_base_equals_the_set_counting_search(d):
+    # the loop reference runs every restart and recounts pairs as a set;
+    # the finite-field fallback and the repair are applied to its result
+    ranks, suits, count = oracles.near_ols_squares_by_sets(
+        d, solver._BASE_SEARCH_SEED + d, solver._BASE_RESTARTS
+    )
+    if count < d * d and d in (3, 4, 5, 7, 8, 9):
+        ranks, suits = mols_construct(d)[:2]
+        count = d * d
+    want = oracles.repaired_card_matrix_by_loops(ranks, suits)
+    base, got = solver._near_ols_permutation(d)
+    assert base.dtype == want.dtype
+    assert np.array_equal(base, want)
+    assert got == count
+
+
+def test_intercalate_flips_match_the_loop_reference():
+    rng = np.random.default_rng(2024)
+    squares = [cyclic_latin(d) for d in range(2, 10)]
+    for d in range(2, 10):
+        squares += [oracles.random_latin_by_permutations(d, rng) for _ in range(5)]
+        # squares moved by flips, which permutations of cyclic ones are not
+        squares += oracles.near_ols_squares_by_sets(d, d, 1)[:2]
+    for sq in squares:
+        want = [list(f) for f in oracles.intercalate_flips_by_loops(sq)]
+        assert solver._intercalate_flips(sq) == want
+
+
+def test_base_search_stops_at_the_most_distinct_pairs(monkeypatch):
+    # no pair of Latin squares of order 6 holds more than 34 distinct pairs,
+    # and every pair of order 2 holds exactly 2: the restart that first
+    # reaches the bound is the last one run
+    climbs = []
+
+    def counted(ranks, suits, rng):
+        climbs.append(climb(ranks, suits, rng))
+        return climbs[-1]
+
+    climb = solver._climb
+    monkeypatch.setattr(solver, "_climb", counted)
+    for d, most, restarts in ((6, 34, 8), (2, 2, 1)):
+        climbs.clear()
+        assert solver._near_ols_permutation.__wrapped__(d)[1] == most
+        assert len(climbs) == restarts and climbs[-1] == most
+        assert max(climbs[:-1], default=0) < most
+
+
+def test_cached_base_is_read_only():
+    base, _ = solver._near_ols_permutation(3)
+    with pytest.raises(ValueError):
+        base[0] = 0
+    copy, _ = default_base_permutation()
+    copy[0] = 0
+    assert default_base_permutation()[0][0].sum() == 1
 
 
 def test_default_base_other_orders_are_refused():
