@@ -23,7 +23,14 @@ from .errors import (
     NumericError,
 )
 from .gf import _field_cached, prime_power_decompose
-from .linalg import block_dim, gram_defect
+from .linalg import (
+    _check_tol,
+    _frobenius,
+    _subtract_diagonal,
+    _unfoldings,
+    block_dim,
+    gram_defect,
+)
 
 __all__ = [
     "Violation",
@@ -425,13 +432,30 @@ def square_from_unitary_rows(u) -> QuantumSquare:
 
 
 def qls_verify(square: QuantumSquare, tol: float = 1e-10) -> DesignReport:
-    """Quantum Latin square check: each row and column is an orthonormal set."""
+    """Quantum Latin square check: each row and column is an orthonormal set.
+
+    The d rows and d columns are stacked and their Gram defects taken by one
+    gram_defect call. tol must be a finite number >= 0.
+    """
+    _check_tol(tol)
     cells = square.cells  # [row, col, vector entry]
-    rows = gram_defect(cells.swapaxes(-1, -2)).tolist()
-    cols = gram_defect(cells.transpose(1, 2, 0)).tolist()
+    lines = np.stack([cells.swapaxes(-1, -2), cells.transpose(1, 2, 0)])
+    rows, cols = gram_defect(lines).tolist()
     violations = [Violation("row", (r,), x) for r, x in enumerate(rows) if x > tol]
     violations += [Violation("column", (c,), x) for c, x in enumerate(cols) if x > tol]
     return _report("qls", tol, violations, {"rows": max(rows), "columns": max(cols)})
+
+
+# qols_verify reads the cells as a tensor [row, col, p, q], p and q the two
+# parties of a cell, and gathers six of its unfoldings (linalg._unfoldings:
+# these axes as rows, the others as columns). Rows (2, 3) and (0, 1) are the
+# matrix whose rows are the cells, transposed and as it is: Q1 and its
+# completeness are their Gram defects. Rows (0, 2) pair a row i with party
+# p, so block (i, j) of A A* sums the overlaps of the cells of rows i and j
+# with party q traced out: Q2-rows-trB. Rows (0, 3) trace out party p
+# instead (Q2-rows-trA), and (1, 2) and (1, 3) do the same for columns.
+_QOLS_ROWS = ((2, 3), (0, 1), (0, 2), (0, 3), (1, 2), (1, 3))
+_OVERLAP_FAMILIES = ("Q2-rows-trB", "Q2-rows-trA", "Q3-cols-trB", "Q3-cols-trA")
 
 
 def qols_verify(square: QuantumSquare, tol: float = 1e-10) -> DesignReport:
@@ -445,35 +469,28 @@ def qols_verify(square: QuantumSquare, tol: float = 1e-10) -> DesignReport:
       Q3-cols-trB / Q3-cols-trA   the same for columns.
     A Q2/Q3 violation names the worst pair (i, j), the first in row-major
     order on ties. The report's max_residual aggregates the families by
-    their maximum.
+    their maximum. All six families are unfoldings of the cells, gathered
+    into one stack: Q1 and its completeness come from one gram_defect call,
+    the four overlap families from one stacked product and one reduction
+    over its d x d blocks. tol must be a finite number >= 0.
     """
+    _check_tol(tol)
     d = square.d
     if square.cell_dim != d * d:
         raise DimensionError(
             f"cells live in C**{square.cell_dim}, need C**{d * d} "
             "for the two-party conditions"
         )
-    flat = square.cells.reshape(d * d, d * d)
-    worst = {
-        "Q1": (gram_defect(flat.T), ()),
-        "Q1-completeness": (gram_defect(flat), ()),
-    }
-    # summed one-party overlaps of every pair (i, j) of rows or columns, with
-    # cells as d x d coefficient matrices: tr_B -> X Y*, tr_A -> X^T conj(Y)
-    blocks = square.cells.reshape(d, d, d, d)  # [row, col, party1, party2]
-    conj = blocks.conj()
-    diag = np.arange(d)
-    for family, spec in (
-        ("Q2-rows-trB", "ikpq,jkrq->ijpr"),
-        ("Q2-rows-trA", "ikpq,jkpr->ijqr"),
-        ("Q3-cols-trB", "kipq,kjrq->ijpr"),
-        ("Q3-cols-trA", "kipq,kjpr->ijqr"),
-    ):
-        m = np.einsum(spec, blocks, conj)
-        m[diag, diag] -= np.eye(d)
-        res = np.linalg.norm(m, axis=(-2, -1))
-        i, j = np.unravel_index(np.argmax(res), res.shape)
-        worst[family] = (float(res[i, j]), (int(i), int(j)))
+    a = _unfoldings(square.cells.reshape(d, d, d, d), _QOLS_ROWS)
+    q1, complete = gram_defect(a[:2]).tolist()
+    worst = {"Q1": (q1, ()), "Q1-completeness": (complete, ())}
+    g = a[2:] @ a[2:].conj().swapaxes(-1, -2)
+    _subtract_diagonal(g, 1.0)
+    # g[family] read as [i, p, j, q]: block (i, j) is g[family, i, :, j, :]
+    blocks = _frobenius(g.reshape(4, d, d, d, d), (2, 4)).reshape(4, d * d)
+    at = blocks.argmax(axis=1).tolist()
+    for family, row, k in zip(_OVERLAP_FAMILIES, blocks.tolist(), at):
+        worst[family] = (row[k], divmod(k, d))
     violations = [
         Violation(family, where, res)
         for family, (res, where) in worst.items()
@@ -560,7 +577,9 @@ def qoa_verify(a: QuantumOrthogonalArray, tol: float = 1e-10) -> DesignReport:
 
     For each subset S of parties with |S| = strength, the sum over runs of the
     reduced projectors must equal (runs / levels**strength) times the identity.
+    tol must be a finite number >= 0.
     """
+    _check_tol(tol)
     n = a.n_parties
     k = a.strength
     if not 1 <= k <= n:

@@ -11,6 +11,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -60,6 +61,33 @@ def _reorder(m, axes) -> np.ndarray:
         raise DimensionError(f"expected a square matrix, got shape {m.shape}")
     d = _order_root(m.shape[-1])
     return m.reshape(-1, d, d, d, d).transpose(axes).reshape(m.shape)
+
+
+def _unfoldings(t, row_sets) -> np.ndarray:
+    """Stack of matrix unfoldings of the tensor t, gathered by one take.
+
+    Unfolding s has the axes row_sets[s] as its rows, in that order, and the
+    other axes as its columns in ascending order, composite indices
+    row-major: for a matrix of order d*d read as t[a, i, b, j], rows (0, 1)
+    give the matrix itself, (2, 3) its transpose, (0, 2) its reshuffle and
+    (0, 3) its partial transpose with the column pair swapped. All the
+    unfoldings must have the same shape.
+    """
+    return t.reshape(-1)[_unfolding_index(t.shape, tuple(row_sets))]
+
+
+@lru_cache(maxsize=64)
+def _unfolding_index(shape, row_sets) -> np.ndarray:
+    """Flat positions in a tensor of this shape that _unfoldings gathers."""
+    positions = np.arange(math.prod(shape)).reshape(shape)
+    stack = []
+    for rows in row_sets:
+        cols = tuple(q for q in range(len(shape)) if q not in rows)
+        n_rows = math.prod(shape[q] for q in rows)
+        stack.append(positions.transpose(rows + cols).reshape(n_rows, -1))
+    index = np.stack(stack)
+    index.flags.writeable = False
+    return index
 
 
 def reshuffle(m, dual: bool = False) -> np.ndarray:
@@ -152,6 +180,16 @@ def polar_decompose(m) -> PolarFactors:
     return PolarFactors(positive_part=h, unitary_part=v)
 
 
+def _check_tol(tol) -> None:
+    """Reject a verifier tolerance that is not a finite number >= 0.
+
+    A NaN tolerance would pass every residual (x > nan is false) and an
+    infinite one any finite residual, so neither can back a verdict.
+    """
+    if not (math.isfinite(tol) and tol >= 0):
+        raise ValueError(f"tol must be a finite number >= 0, got {tol!r}")
+
+
 def unitarity_defect(m) -> float:
     """Frobenius distance of m* m from the identity; 0 exactly iff unitary.
 
@@ -175,12 +213,25 @@ def gram_defect(m):
     of every unitarity residual in the package. It needs no integer path:
     for entries 0 and 1 every Gram entry and every square summed is a small
     integer, which floating point holds exactly, so a permutation matrix
-    gives exactly 0.0.
+    gives exactly 0.0. The reduction is the one np.linalg.norm makes for
+    axis=(-2, -1), so the defects are the same bits as its.
     """
     g = m.conj().swapaxes(-1, -2) @ m
-    g -= np.eye(m.shape[-1])
-    defect = np.linalg.norm(g, axis=(-2, -1))
+    _subtract_diagonal(g, 1.0)
+    defect = _frobenius(g, (-2, -1))
     return float(defect) if defect.ndim == 0 else defect
+
+
+def _subtract_diagonal(g, c) -> None:
+    """Subtract c from the diagonal of every matrix of a C-contiguous stack, in place."""
+    k = g.shape[-1]
+    diagonal = g.reshape(g.shape[:-2] + (k * k,))[..., :: k + 1]
+    diagonal -= c
+
+
+def _frobenius(g, axis):
+    """Frobenius norms over the given axes, reduced as np.linalg.norm does."""
+    return np.sqrt(np.add.reduce((g.conj() * g).real, axis=axis))
 
 
 def two_unitarity_defect(m) -> float:
@@ -188,7 +239,8 @@ def two_unitarity_defect(m) -> float:
 
     Zero exactly iff m is 2-unitary. The maximum (not the sum) is reported so
     the value reads directly as "the worst of the three conditions". These
-    are the three unfoldings of multi_unitarity_check at half-order 2.
+    are the three unfoldings of multi_unitarity_check at half-order 2, and
+    like it this accepts only a finite matrix.
     """
     m = np.asarray(m)
     return multi_unitarity_check(m, block_dim(m), 2).max_defect
@@ -215,32 +267,35 @@ class MultiUnitarityReport:
 def multi_unitarity_check(t, dim: int, half_order: int, tol: float = 1e-10):
     """Unitarity of every inequivalent balanced unfolding of a tensor.
 
-    The input (any shape with dim**(2*half_order) entries) is reshaped to
-    2*half_order axes of length dim. For each axis subset of size half_order
-    that contains axis 0, the unfolding with those axes as rows is tested;
-    complementary subsets give transposed unfoldings, so listing only the
-    subsets containing axis 0 covers all inequivalent conditions:
-    3 for half_order 2, 10 for half_order 3.
+    The input (any shape with dim**(2*half_order) finite entries) is
+    reshaped to 2*half_order axes of length dim. For each axis subset of
+    size half_order that contains axis 0, the unfolding with those axes as
+    rows is tested; complementary subsets give transposed unfoldings, so
+    listing only the subsets containing axis 0 covers all inequivalent
+    conditions: 3 for half_order 2, 10 for half_order 3. The unfoldings are
+    gathered into one stack and their defects taken by one gram_defect
+    call. tol must be a finite number >= 0.
     """
     if half_order not in (2, 3):
         raise CapabilityError(
             f"half-order {half_order} not supported; only 2 and 3 are implemented"
         )
+    _check_tol(tol)
     t = np.asarray(t)
     n_axes = 2 * half_order
     if t.size != dim**n_axes:
         raise DimensionError(
             f"tensor has {t.size} entries, expected {dim}**{n_axes} = {dim**n_axes}"
         )
-    t = t.reshape((dim,) * n_axes)
-    half = dim**half_order
-    results = []
-    for rows in itertools.combinations(range(n_axes), half_order):
-        if rows[0] != 0:
-            continue
-        cols = tuple(q for q in range(n_axes) if q not in rows)
-        mat = t.transpose(rows + cols).reshape(half, half)
-        results.append((rows, unitarity_defect(mat)))
+    t = np.asarray(t, dtype=complex).reshape((dim,) * n_axes)
+    if not np.isfinite(t).all():
+        raise NumericError("tensor has non-finite entries")
+    subsets = [
+        rows
+        for rows in itertools.combinations(range(n_axes), half_order)
+        if rows[0] == 0
+    ]
+    defects = gram_defect(_unfoldings(t, subsets)).tolist()
     return MultiUnitarityReport(
-        half_order=half_order, dim=dim, tol=tol, defects=tuple(results)
+        half_order=half_order, dim=dim, tol=tol, defects=tuple(zip(subsets, defects))
     )

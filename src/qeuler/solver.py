@@ -122,10 +122,10 @@ class SearchConfig:
             raise DimensionError(f"search needs d >= 2, got {self.d}")
         if self.seed_kind not in SEED_KINDS:
             raise ValueError(f"unknown seed kind {self.seed_kind!r}; use {SEED_KINDS}")
-        if self.epsilon < 0:
-            raise ValueError("epsilon must be nonnegative")
-        if self.tol <= 0:
-            raise ValueError("tol must be positive")
+        if not (math.isfinite(self.epsilon) and self.epsilon >= 0):
+            raise ValueError(f"epsilon must be a finite number >= 0, got {self.epsilon!r}")
+        if not (math.isfinite(self.tol) and self.tol > 0):
+            raise ValueError(f"tol must be a finite number > 0, got {self.tol!r}")
         if self.max_iter is not None and self.max_iter < 0:
             raise ValueError("max_iter must be nonnegative")
 

@@ -17,7 +17,7 @@ import numpy as np
 
 from .designs import OrthogonalLatinPair, verify_orthogonal_pair
 from .errors import DimensionError, InvalidDesignError, NumericError
-from .linalg import block_dim
+from .linalg import _check_tol, _frobenius, _subtract_diagonal, _unfoldings, block_dim
 
 __all__ = [
     "PureState",
@@ -178,12 +178,24 @@ class UniformityReport:
 
 
 def _uniformity_report(state: PureState, kind, k, subsets, tol, note=""):
-    """Marginal flatness of the given k-party subsets, worst one named."""
-    residuals = {}
+    """Marginal flatness of the given k-party subsets, worst one named.
+
+    The coefficient matrices of the subsets whose marginals have the same
+    shape are gathered into one stack, so one product M M* gives all their
+    reduced density matrices and one reduction their distances from I/dk.
+    """
+    _check_tol(tol)
+    subsets = list(subsets)
+    groups = {}  # dk -> the subsets whose marginals are dk x dk
     for keep in subsets:
-        dk = math.prod(state.dims[q] for q in keep)
-        rho = reduced_density(state, keep)
-        residuals[keep] = float(np.linalg.norm(rho - np.eye(dk) / dk))
+        groups.setdefault(math.prod(state.dims[q] for q in keep), []).append(keep)
+    found = {}
+    for dk, group in groups.items():
+        m = _unfoldings(state.tensor(), group)  # the coefficient matrices
+        rho = m @ m.conj().swapaxes(-1, -2)
+        _subtract_diagonal(rho, 1.0 / dk)
+        found.update(zip(group, _frobenius(rho, (-2, -1)).tolist()))
+    residuals = {keep: found[keep] for keep in subsets}
     worst = max(residuals, key=residuals.get)
     return UniformityReport(
         kind=kind,
@@ -198,7 +210,11 @@ def _uniformity_report(state: PureState, kind, k, subsets, tol, note=""):
 
 
 def k_uniform_check(state: PureState, k: int, tol: float = 1e-10):
-    """Check that every k-party marginal is maximally mixed."""
+    """Check that every k-party marginal is maximally mixed.
+
+    With unequal party dimensions the marginals come in several sizes; each
+    size is checked by one stacked product. tol must be a finite number >= 0.
+    """
     n = state.n_parties
     if not 1 <= k <= n // 2:
         raise ValueError(f"k must satisfy 1 <= k <= {n // 2}, got {k}")
@@ -212,6 +228,8 @@ def ame_check(state: PureState, tol: float = 1e-10):
     For even n only the half-size subsets containing party 0 are evaluated;
     the complementary marginals share their spectra, so nothing is lost. For
     odd n this is exactly the (n-1)/2-uniformity check, and the report says so.
+    All marginals have the same size, so one stacked product M M* gives
+    them all. tol must be a finite number >= 0.
     """
     n = state.n_parties
     if len(set(state.dims)) != 1:
@@ -256,10 +274,13 @@ def state_from_two_unitary(u) -> PureState:
     parties three and four index the column (the bipartite cell content). For
     unitary u the normalization is exactly 1/d per entry; non-unitary inputs
     are normalized by their Frobenius norm and yield non-uniform marginals,
-    which is what makes them useful as negative examples.
+    which is what makes them useful as negative examples. Non-finite
+    entries raise NumericError.
     """
     arr = np.asarray(u, dtype=complex)
     d = block_dim(arr)
+    if not np.all(np.isfinite(arr)):
+        raise NumericError("matrix has non-finite entries")
     norm = float(np.linalg.norm(arr))
     if norm == 0.0:
         raise NumericError("cannot build a state from the zero matrix")

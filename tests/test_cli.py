@@ -4,7 +4,12 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from qeuler import jsonio, state_from_two_unitary, two_unitarity_defect
+from qeuler import (
+    jsonio,
+    square_from_unitary_rows,
+    state_from_two_unitary,
+    two_unitarity_defect,
+)
 from qeuler.cli import main
 
 import oracles
@@ -113,6 +118,22 @@ def test_verify_non_finite_quantum_square_is_a_math_failure(runner, tmp_path):
     assert "PASS" not in result.output
 
 
+@pytest.mark.parametrize("tol", ["nan", "inf", "-1e-3"])
+def test_verify_malformed_tolerance_is_usage_error(runner, tmp_path, tol):
+    # the rows of a random unitary fail the quantum conditions by far, so a
+    # tolerance that passed them would turn a FAIL into PASS
+    rng = np.random.default_rng(7)
+    g = rng.standard_normal((9, 9)) + 1j * rng.standard_normal((9, 9))
+    path = tmp_path / "square.json"
+    jsonio.save_json(
+        jsonio.design_to_json("qols", square_from_unitary_rows(np.linalg.qr(g)[0])), path
+    )
+    result = invoke(runner, "design", "verify", "--in", str(path), "--tol", tol)
+    assert result.exit_code == 2
+    assert "error: tol must be a finite number >= 0" in result.output
+    assert "PASS" not in result.output
+
+
 def test_verify_missing_file_is_usage_error(runner, tmp_path):
     result = invoke(runner, "design", "verify", "--in", str(tmp_path / "no.json"))
     assert result.exit_code == 2
@@ -173,6 +194,15 @@ def test_state_check_k_flag_and_failure(runner, tmp_path):
     assert result.exit_code == 1
     assert "FAIL" in result.output
     assert "parties (0, 1)" in result.output
+
+
+def test_state_check_malformed_tolerance_is_usage_error(runner, tmp_path, p9):
+    path = tmp_path / "state.json"
+    jsonio.save_json(jsonio.state_to_json(state_from_two_unitary(p9)), path)
+    for tol in ("nan", "inf"):
+        result = invoke(runner, "state", "check", "--in", str(path), "--tol", tol)
+        assert result.exit_code == 2
+        assert "tol must be a finite number" in result.output
 
 
 def test_state_build_from_matrix(runner, tmp_path, p9):
@@ -314,6 +344,18 @@ def test_search_user_matrix_seed(runner, tmp_path, p9):
 def test_search_bad_dimension_is_usage_error(runner):
     result = invoke(runner, "search", "--dim", "1", "--seeds", "1")
     assert result.exit_code == 2
+
+
+@pytest.mark.parametrize(
+    "flag, value",
+    [("--tol", "nan"), ("--tol", "inf"), ("--epsilon", "nan"), ("--epsilon", "inf")],
+)
+def test_search_malformed_tolerance_or_noise_is_usage_error(runner, flag, value):
+    # caught before any run: --tol inf used to report every run as converged
+    result = invoke(runner, "search", "--dim", "3", "--seeds", "2", flag, value)
+    assert result.exit_code == 2
+    assert f"error: {flag[2:]} must be a finite number" in result.output
+    assert "converged" not in result.output
 
 
 def test_search_zero_jobs_is_usage_error(runner):

@@ -389,6 +389,45 @@ def test_quantum_square_verifiers_match_loop_oracle(d, rng):
                 assert v.where == where
 
 
+def test_qols_verify_names_the_first_worst_pair_of_exact_ties(rng):
+    # on 0/1 cells every residual is the root of an integer, so ties are
+    # exact and the worst pair must be the first in row-major order
+    squares = []
+    for d in (2, 3, 4):
+        n = d * d
+        for _ in range(4):
+            u = np.zeros((n, n))
+            u[rng.permutation(n), np.arange(n)] = 1.0
+            squares.append(square_from_unitary_rows(u))
+    for square in squares:
+        want = oracles.qols_residuals_by_loops(square.cells)
+        report = qols_verify(square)
+        for family, res in report.family_residuals.items():
+            assert res == want[family][0], family
+        for v in report.violations:
+            assert v.where == want[v.condition][1], v.condition
+
+
+@pytest.mark.parametrize("tol", [np.nan, np.inf, -np.inf, -1e-12])
+def test_quantum_verifiers_reject_malformed_tolerances(tol, classic_pair):
+    square = classical_embed(classic_pair)
+    for verify, design in (
+        (qls_verify, square),
+        (qols_verify, square),
+        (qoa_verify, qoa_from_qols(square)),
+    ):
+        with pytest.raises(ValueError, match="tol"):
+            verify(design, tol)
+
+
+def test_quantum_verifiers_accept_zero_tolerance(classic_pair):
+    # the classical embedding is exact, so it passes with no slack at all
+    square = classical_embed(classic_pair)
+    assert qls_verify(square, 0.0).passed
+    assert qols_verify(square, 0.0).passed
+    assert qoa_verify(qoa_from_qols(square), 0.0).passed
+
+
 def test_no_order_two_quantum_pair_from_permutations():
     # classical impossibility survives the product-basis embedding
     for perm in itertools.permutations(range(4)):

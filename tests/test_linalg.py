@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -16,6 +17,8 @@ from qeuler import (
     two_unitarity_defect,
     unitarity_defect,
 )
+
+from qeuler.linalg import gram_defect
 
 import frozen
 import oracles
@@ -204,6 +207,18 @@ def test_unitarity_defect_rejects_bad_input():
         unitarity_defect(np.full((2, 2), np.inf))
 
 
+def test_gram_defect_is_the_norm_formula_bit_for_bit(rng):
+    # the search's traces come from gram_defect, so its bits must not move
+    for shape in ((4, 4), (9, 9), (3, 9, 9), (36, 36), (2, 5, 16, 16), (7, 4)):
+        m = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        g = m.conj().swapaxes(-1, -2) @ m
+        want = np.linalg.norm(g - np.eye(shape[-1]), axis=(-2, -1))
+        got = gram_defect(m)
+        assert np.array_equal(got, want)
+        if m.ndim == 2:
+            assert type(got) is float
+
+
 def test_two_unitarity_defect_of_identity_and_swap():
     # both are unitary, but their reorderings have rank d instead of d*d
     swap = np.zeros((4, 4), dtype=np.int64)
@@ -246,6 +261,80 @@ def test_multi_unitarity_half_order_three_lists_ten_unfoldings(rng):
     assert len(report.defects) == 10
     assert all(axes[0] == 0 and len(axes) == 3 for axes, _ in report.defects)
     assert not report.passed  # a random tensor is nowhere near unitary
+
+
+def _close(a, b):
+    return abs(a - b) <= 1e-12 * max(1.0, abs(b))
+
+
+def _defects_by_unfolding(t, dim, half_order):
+    """Float Gram defect of each unfolding, unfolded entry by entry."""
+    n_axes = 2 * half_order
+    out = []
+    for rows in itertools.combinations(range(n_axes), half_order):
+        if rows[0] == 0:
+            m = oracles.unfolding_by_row_axes(t, dim, n_axes, rows)
+            g = m.conj().T @ m - np.eye(m.shape[1])
+            out.append((rows, math.sqrt(float(np.sum(np.abs(g) ** 2)))))
+    return out
+
+
+@pytest.mark.parametrize("dim, half_order", [(2, 2), (3, 2), (2, 3), (3, 3)])
+def test_multi_unitarity_matches_unfolding_oracle(dim, half_order, rng):
+    n = dim**half_order
+    size = n * n
+    cases = [
+        rng.standard_normal(size) + 1j * rng.standard_normal(size),
+        random_unitary(n, rng),
+        np.eye(n),
+    ]
+    for t in cases:
+        report = multi_unitarity_check(t, dim, half_order)
+        want = _defects_by_unfolding(t, dim, half_order)
+        assert [rows for rows, _ in report.defects] == [rows for rows, _ in want]
+        for (_, got), (_, value) in zip(report.defects, want):
+            assert type(got) is float
+            assert _close(got, value)
+        assert report.passed == (max(v for _, v in want) <= 1e-10)
+
+
+def test_multi_unitarity_is_exact_on_binary_tensors(p9, rng):
+    # every unfolding of a 0/1 tensor gets its integer defect, so the
+    # unfoldings that are permutations give exactly 0.0
+    cases = [(p9, 3, 2), (np.eye(8, dtype=np.int64), 2, 3)]
+    cases += [((rng.random(64) < 0.3).astype(np.int64), 2, 3)]
+    for t, dim, half_order in cases:
+        report = multi_unitarity_check(t, dim, half_order)
+        for rows, got in report.defects:
+            m = oracles.unfolding_by_row_axes(t, dim, 2 * half_order, rows)
+            assert got == oracles.unitarity_defect_by_integers(m)
+    # an unfolding of the identity is a permutation iff its rows hold one
+    # axis of each pair (q, q + 3): (0,1,2), (0,1,5), (0,2,4) and (0,4,5)
+    identity = multi_unitarity_check(np.eye(8), 2, 3).defects
+    exact = [rows for rows, v in identity if v == 0.0]
+    assert exact == [rows for rows, _ in identity if len({q % 3 for q in rows}) == 3]
+    assert len(exact) == 4
+
+
+def test_multi_unitarity_rejects_non_finite_tensors():
+    for bad in (np.nan, np.inf):
+        t = np.eye(4, dtype=complex)
+        t[1, 2] = bad
+        with pytest.raises(NumericError):
+            multi_unitarity_check(t, 2, 2)
+        with pytest.raises(NumericError):
+            two_unitarity_defect(t)
+
+
+@pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, -1e-12])
+def test_multi_unitarity_rejects_malformed_tolerances(tol):
+    with pytest.raises(ValueError, match="tol"):
+        multi_unitarity_check(np.eye(4), 2, 2, tol=tol)
+
+
+def test_multi_unitarity_accepts_zero_tolerance(p9):
+    assert multi_unitarity_check(p9, 3, 2, tol=0.0).passed
+    assert not multi_unitarity_check(np.eye(4), 2, 2, tol=0.0).passed
 
 
 def test_multi_unitarity_rejects_unsupported_requests():

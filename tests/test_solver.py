@@ -73,6 +73,22 @@ def test_search_config_validation():
         SearchConfig(d=3, max_iter=-1)
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("tol", math.nan),
+        ("tol", math.inf),
+        ("tol", -1e-10),
+        ("epsilon", math.nan),
+        ("epsilon", math.inf),
+        ("epsilon", -math.inf),
+    ],
+)
+def test_search_config_rejects_non_finite_tolerance_and_noise(field, value):
+    with pytest.raises(ValueError, match=field):
+        SearchConfig(d=3, **{field: value})
+
+
 def test_search_config_takes_integer_orders_only():
     for d in (2.0, 3.5, "3", None):
         with pytest.raises(DimensionError):
@@ -451,6 +467,27 @@ def test_base_equals_the_set_counting_search(d):
     assert base.dtype == want.dtype
     assert np.array_equal(base, want)
     assert got == count
+
+
+def test_bases_of_orders_two_to_ten_come_from_latin_squares(monkeypatch):
+    # the squares handed to the repair: a pass of the local search can leave
+    # a square that is not Latin (the order-12 base's suits square is not),
+    # but none of the bases of orders 2-10 is one of those
+    repaired = []
+
+    def recorded(ranks, suits):
+        repaired.append((ranks.copy(), suits.copy()))
+        return repair(ranks, suits)
+
+    repair = solver._repair_to_permutation
+    monkeypatch.setattr(solver, "_repair_to_permutation", recorded)
+    for d in range(2, 11):
+        repaired.clear()
+        base, _ = solver._near_ols_permutation.__wrapped__(d)
+        (ranks, suits), = repaired
+        assert np.array_equal(base, solver._near_ols_permutation(d)[0])
+        assert oracles.latin_violations_by_loops(ranks) == [], d
+        assert oracles.latin_violations_by_loops(suits) == [], d
 
 
 def test_intercalate_flips_match_the_loop_reference():

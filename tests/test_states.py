@@ -1,5 +1,6 @@
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -208,6 +209,80 @@ def test_ame_check_odd_party_count_is_flagged():
     assert "odd" in report.note
 
 
+def _close(a, b):
+    return abs(a - b) <= 1e-12 * max(1.0, abs(b))
+
+
+def _marginal_residuals_by_loops(psi, subsets):
+    out = {}
+    for keep in subsets:
+        rho = oracles.reduced_density_by_loops(psi.amplitudes, psi.dims, keep)
+        out[keep] = float(np.linalg.norm(rho - np.eye(len(rho)) / len(rho)))
+    return out
+
+
+def _assert_matches_loops(report, want):
+    # same subsets in the same order, residuals within rounding, the first
+    # worst subset named
+    assert list(report.subset_residuals) == list(want)
+    for keep, value in want.items():
+        got = report.subset_residuals[keep]
+        assert type(got) is float
+        assert _close(got, value), keep
+    assert report.max_residual == report.subset_residuals[report.worst_subset]
+    assert report.worst_subset == max(
+        report.subset_residuals, key=report.subset_residuals.get
+    )
+    assert report.passed == (report.max_residual <= report.tol)
+
+
+@pytest.mark.parametrize(
+    "dims, k",
+    [((2, 3), 1), ((2, 3, 2), 1), ((3, 2, 2, 3), 2), ((2, 3, 2, 3, 2), 2), ((2,) * 5, 1)],
+)
+def test_k_uniform_check_matches_loop_oracle(dims, k, rng):
+    # unequal dimensions give marginals of several shapes
+    total = math.prod(dims)
+    for amps in (random_state_vector(total, rng), np.eye(total)[0]):
+        psi = PureState(dims=dims, amplitudes=amps)
+        subsets = list(itertools.combinations(range(len(dims)), k))
+        _assert_matches_loops(
+            k_uniform_check(psi, k), _marginal_residuals_by_loops(psi, subsets)
+        )
+
+
+@pytest.mark.parametrize("d, n", [(2, 2), (2, 3), (3, 4), (2, 5), (2, 6)])
+def test_ame_check_matches_loop_oracle(d, n, rng):
+    k = n // 2
+    if n % 2:
+        subsets = list(itertools.combinations(range(n), k))
+    else:
+        subsets = [(0,) + rest for rest in itertools.combinations(range(1, n), k - 1)]
+    states = [random_state_vector(d**n, rng)]
+    if n == 4:
+        u = random_unitary(d * d, rng)
+        states += [state_from_two_unitary(u).amplitudes]
+    for amps in states:
+        psi = PureState(dims=(d,) * n, amplitudes=amps)
+        _assert_matches_loops(ame_check(psi), _marginal_residuals_by_loops(psi, subsets))
+
+
+@pytest.mark.parametrize("tol", [math.nan, math.inf, -1e-12])
+def test_uniformity_checks_reject_malformed_tolerances(tol):
+    with pytest.raises(ValueError, match="tol"):
+        ame_check(bell(), tol=tol)
+    with pytest.raises(ValueError, match="tol"):
+        k_uniform_check(ghz(), 1, tol=tol)
+
+
+def test_uniformity_checks_accept_zero_tolerance():
+    # amplitudes +-1/2 make the marginals exactly I/2 in floating point
+    psi = PureState(dims=(2, 2), amplitudes=np.array([1, 1, 1, -1]) / 2)
+    report = ame_check(psi, tol=0.0)
+    assert report.max_residual == 0.0
+    assert report.passed
+
+
 # ---------------------------------------------------------------------------
 # four-party constructions
 
@@ -285,6 +360,16 @@ def test_state_from_two_unitary_normalizes_and_rejects_zero():
     assert np.linalg.norm(psi.amplitudes) == pytest.approx(1.0, abs=1e-12)
     with pytest.raises(NumericError):
         state_from_two_unitary(np.zeros((4, 4)))
+
+
+def test_state_from_two_unitary_rejects_non_finite_entries():
+    for bad in (np.nan, np.inf):
+        u = np.eye(4, dtype=complex)
+        u[0, 1] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericError, match="non-finite"):
+                state_from_two_unitary(u)
 
 
 # ---------------------------------------------------------------------------
