@@ -36,6 +36,7 @@ from .errors import (
     FormatError,
     QeulerError,
 )
+from .linalg import _check_tol
 from .solver import (
     SEED_KINDS,
     STOP_REASONS,
@@ -222,6 +223,7 @@ def _verify_dispatch(kind, obj, tol):
 @_guarded
 def design_verify(in_path, tol):
     """Check a stored design and list every located violation."""
+    _check_tol(tol)  # the combinatorial kinds take no tolerance to check it
     kind, obj = jsonio.design_from_json(jsonio.load_json(in_path))
     failed = False
     for label, report in _verify_dispatch(kind, obj, tol):

@@ -26,6 +26,7 @@ from .gf import _field_cached, prime_power_decompose
 from .linalg import (
     _check_tol,
     _frobenius,
+    _marginal_defects,
     _subtract_diagonal,
     _unfoldings,
     block_dim,
@@ -226,17 +227,19 @@ def cyclic_latin(d: int) -> np.ndarray:
     return (i[:, None] + i[None, :]) % d
 
 
-def _line_violations(cells, axis_name, line_getter, d):
-    out = []
-    for idx in range(d):
-        line = line_getter(idx)
-        counts = np.bincount(line, minlength=d)
-        for sym in range(d):
-            if counts[sym] != 1:
-                out.append(
-                    Violation(axis_name, (idx, sym), float(abs(counts[sym] - 1)))
-                )
-    return out
+def _line_violations(lines, axis_name):
+    """Every (line, symbol) that does not occur exactly once in its line.
+
+    Row i of lines is line i, its symbols in [0, d). Violations come line by
+    line, then symbol by symbol.
+    """
+    d = lines.shape[0]
+    counts = np.zeros((d, d), dtype=np.int64)  # [line, symbol]
+    np.add.at(counts, (np.arange(d)[:, None], lines), 1)
+    return [
+        Violation(axis_name, (int(i), int(sym)), float(abs(counts[i, sym] - 1)))
+        for i, sym in np.argwhere(counts != 1)
+    ]
 
 
 def verify_latin(cells) -> DesignReport:
@@ -248,8 +251,8 @@ def verify_latin(cells) -> DesignReport:
     for r, c in bad_range:
         violations.append(Violation("symbol-range", (int(r), int(c)), 0.0))
     if not len(bad_range):
-        violations += _line_violations(arr, "row", lambda r: arr[r, :], d)
-        violations += _line_violations(arr, "column", lambda c: arr[:, c], d)
+        violations += _line_violations(arr, "row")
+        violations += _line_violations(arr.T, "column")
     return _report("ls", 0.0, violations)
 
 
@@ -305,9 +308,9 @@ def verify_orthogonal_pair(pair: OrthogonalLatinPair) -> DesignReport:
         return _report("ols", 0.0, violations)
 
     for name, arr in (("ranks", pair.ranks), ("suits", pair.suits)):
-        for v in _line_violations(arr, "row", lambda r, a=arr: a[r, :], d):
+        for v in _line_violations(arr, "row"):
             violations.append(Violation("C2", (name,) + v.where, v.residual))
-        for v in _line_violations(arr, "column", lambda c, a=arr: a[:, c], d):
+        for v in _line_violations(arr.T, "column"):
             violations.append(Violation("C3", (name,) + v.where, v.residual))
 
     counts = np.zeros((d, d), dtype=np.int64)
@@ -327,18 +330,31 @@ def ols_function_tables(pair: OrthogonalLatinPair) -> FunctionTables:
             f"pair is not orthogonal Latin: {len(report.violations)} violation(s), "
             f"first {report.violations[0]}"
         )
-    d = pair.d
-    f1 = np.zeros((d, d, 2), dtype=np.int64)
-    f2 = np.zeros((d, d, 2), dtype=np.int64)
-    f3 = np.zeros((d, d, 2), dtype=np.int64)
-    for r in range(d):
-        for c in range(d):
-            v = int(pair.ranks[r, c])
-            s = int(pair.suits[r, c])
-            f1[r, c] = (v, s)
-            f2[s, c] = (v, r)
-            f3[s, r] = (v, c)
+    v, s = pair.ranks, pair.suits
+    r, c = np.indices(v.shape)
+    f1 = np.stack((v, s), axis=-1)
+    f2 = np.zeros_like(f1)
+    f2[s, c] = np.stack((v, r), axis=-1)
+    f3 = np.zeros_like(f1)
+    f3[s, r] = np.stack((v, c), axis=-1)
     return FunctionTables(f1=f1, f2=f2, f3=f3)
+
+
+def _cards(ranks, suits) -> np.ndarray:
+    """The card v*d + s of each cell holding (v, s), cells in row-major order."""
+    return (ranks * ranks.shape[0] + suits).ravel()
+
+
+def _card_permutation(cards) -> np.ndarray:
+    """The 0/1 integer matrix with the 1 of column k in row cards[k], unchecked.
+
+    With cards from _cards, column r*d + c is cell (r, c) and its 1 sits in
+    the row of the card the cell holds: the card encoding of the squares.
+    """
+    n = len(cards)
+    out = np.zeros((n, n), dtype=np.int64)
+    out[cards, np.arange(n)] = 1
+    return out
 
 
 def ols_to_permutation(pair: OrthogonalLatinPair) -> np.ndarray:
@@ -354,11 +370,7 @@ def ols_to_permutation(pair: OrthogonalLatinPair) -> np.ndarray:
             f"cannot encode: {len(report.violations)} violation(s), "
             f"first {report.violations[0]}"
         )
-    d = pair.d
-    out = np.zeros((d * d, d * d), dtype=np.int64)
-    rows = pair.ranks.ravel() * d + pair.suits.ravel()
-    out[rows, np.arange(d * d)] = 1
-    return out
+    return _card_permutation(_cards(pair.ranks, pair.suits))
 
 
 def permutation_to_ols(m) -> OrthogonalLatinPair:
@@ -380,14 +392,8 @@ def permutation_to_ols(m) -> OrthogonalLatinPair:
     arr = arr.astype(np.int64)
     if (arr.sum(axis=0) != 1).any() or (arr.sum(axis=1) != 1).any():
         raise NotAnOlsError("rows/columns do not each hold exactly one 1")
-    ranks = np.zeros((d, d), dtype=np.int64)
-    suits = np.zeros((d, d), dtype=np.int64)
-    holder = np.argmax(arr, axis=0)  # row index of the 1 in each column
-    for col in range(d * d):
-        r, c = divmod(col, d)
-        v, s = divmod(int(holder[col]), d)
-        ranks[r, c] = v
-        suits[r, c] = s
+    # column r*d + c holds its 1 in the row of its card v*d + s
+    ranks, suits = divmod(arr.argmax(axis=0).reshape(d, d), d)
     pair = OrthogonalLatinPair(ranks=ranks, suits=suits)
     report = verify_orthogonal_pair(pair)
     if not report.passed:
@@ -405,19 +411,11 @@ def permutation_to_ols(m) -> OrthogonalLatinPair:
 def classical_embed(pair: OrthogonalLatinPair) -> QuantumSquare:
     """Embed a valid pair as the product-basis quantum square.
 
-    Cell (r, c) holding (v, s) becomes the basis vector |v*d + s> of C**(d*d).
+    Cell (r, c) holding (v, s) becomes the basis vector |v*d + s> of C**(d*d):
+    the rows of the transposed card encoding, read as a quantum square. A
+    pair that is not orthogonal Latin raises NotAnOlsError.
     """
-    report = verify_orthogonal_pair(pair)
-    if not report.passed:
-        raise InvalidDesignError(
-            f"cannot embed an invalid pair; first violation {report.violations[0]}"
-        )
-    d = pair.d
-    cells = np.zeros((d, d, d * d), dtype=complex)
-    for r in range(d):
-        for c in range(d):
-            cells[r, c, int(pair.ranks[r, c]) * d + int(pair.suits[r, c])] = 1.0
-    return QuantumSquare(cells=cells)
+    return square_from_unitary_rows(ols_to_permutation(pair).T)
 
 
 def square_from_unitary_rows(u) -> QuantumSquare:
@@ -549,27 +547,17 @@ def qoa_from_qols(square: QuantumSquare) -> QuantumOrthogonalArray:
         raise DimensionError(
             f"cells live in C**{square.cell_dim}, need C**{d * d}"
         )
-    states = np.zeros((d * d, d**4), dtype=complex)
-    for i in range(d):
-        for j in range(d):
-            states[i * d + j, (i * d + j) * d * d : (i * d + j + 1) * d * d] = (
-                square.cells[i, j]
-            )
+    n = d * d
+    runs = np.arange(n)  # run i*d + j holds |i>|j>, the cell's position
+    states = np.zeros((n, n, n), dtype=complex)
+    states[runs, runs] = square.cells.reshape(n, n)
     return QuantumOrthogonalArray(
-        levels=d, strength=2, n_classical=2, n_quantum=2, states=states
+        levels=d,
+        strength=2,
+        n_classical=2,
+        n_quantum=2,
+        states=states.reshape(n, n * n),
     )
-
-
-def _summed_reduction(states, dims, keep):
-    """Sum over runs j of the reduced projector of state j onto the kept parties."""
-    r = states.shape[0]
-    rest = tuple(q for q in range(len(dims)) if q not in keep)
-    dk = int(np.prod([dims[q] for q in keep]))
-    dr = int(np.prod([dims[q] for q in rest], initial=1))
-    t = states.reshape((r,) + tuple(dims))
-    perm = (0,) + tuple(q + 1 for q in keep) + tuple(q + 1 for q in rest)
-    mat = t.transpose(perm).reshape(r, dk, dr)
-    return np.einsum("jab,jcb->ac", mat, np.conj(mat))
 
 
 def qoa_verify(a: QuantumOrthogonalArray, tol: float = 1e-10) -> DesignReport:
@@ -577,7 +565,9 @@ def qoa_verify(a: QuantumOrthogonalArray, tol: float = 1e-10) -> DesignReport:
 
     For each subset S of parties with |S| = strength, the sum over runs of the
     reduced projectors must equal (runs / levels**strength) times the identity.
-    tol must be a finite number >= 0.
+    That sum is M M* for the unfolding M of the run states with S as its rows
+    and the run axis among its columns; the subsets' unfoldings are gathered
+    into one stack. tol must be a finite number >= 0.
     """
     _check_tol(tol)
     n = a.n_parties
@@ -585,15 +575,14 @@ def qoa_verify(a: QuantumOrthogonalArray, tol: float = 1e-10) -> DesignReport:
     if not 1 <= k <= n:
         raise DimensionError(f"strength {k} incompatible with {n} parties")
     runs = a.states.shape[0]
-    dims = (a.levels,) * n
-    lam = runs / a.levels**k
-    eye = np.eye(a.levels**k)
-    violations = []
-    families = {}
-    for keep in itertools.combinations(range(n), k):
-        m = _summed_reduction(a.states, dims, keep)
-        res = float(np.linalg.norm(m - lam * eye))
-        families[f"keep{keep}"] = res
-        if res > tol:
-            violations.append(Violation("marginal", keep, res))
+    subsets = list(itertools.combinations(range(n), k))
+    t = a.states.reshape((runs,) + (a.levels,) * n)  # axis 0 is the run
+    rows = [tuple(q + 1 for q in keep) for keep in subsets]
+    residuals = _marginal_defects(t, rows, runs / a.levels**k).tolist()
+    families = {f"keep{keep}": res for keep, res in zip(subsets, residuals)}
+    violations = [
+        Violation("marginal", keep, res)
+        for keep, res in zip(subsets, residuals)
+        if res > tol
+    ]
     return _report("qoa", tol, violations, families)

@@ -90,6 +90,18 @@ def _unfolding_index(shape, row_sets) -> np.ndarray:
     return index
 
 
+def _marginal_defects(t, row_sets, c) -> np.ndarray:
+    """Frobenius norms of M M* - c I over the unfoldings M of t (see _unfoldings).
+
+    For a state tensor M M* is the reduced density matrix of the row axes,
+    so these are the distances of its marginals from c times the identity.
+    """
+    m = _unfoldings(t, row_sets)
+    g = m @ m.conj().swapaxes(-1, -2)
+    _subtract_diagonal(g, c)
+    return _frobenius(g, (-2, -1))
+
+
 def reshuffle(m, dual: bool = False) -> np.ndarray:
     """Swap the column index of party one with the row index of party two.
 

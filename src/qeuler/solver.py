@@ -11,7 +11,6 @@ converged terminal matrix is unitary by construction.
 from __future__ import annotations
 
 import cmath
-import itertools
 import math
 import operator
 import os
@@ -29,7 +28,7 @@ from .errors import (
     NumericError,
 )
 from . import jsonio
-from .designs import cyclic_latin, mols_construct
+from .designs import _card_permutation, _cards, cyclic_latin, mols_construct
 from .linalg import (
     block_dim,
     gram_defect,
@@ -426,8 +425,8 @@ def _climb(ranks, suits, rng):
     moves the four pairs of its cells. Returns the final count.
     """
     d = ranks.shape[0]
-    # table[v*d + s]: the number of cells holding the pair (v, s)
-    table = np.bincount((ranks * d + suits).ravel(), minlength=d * d).tolist()
+    # table[card]: the number of cells holding the pair with that card
+    table = np.bincount(_cards(ranks, suits), minlength=d * d).tolist()
     count = d * d - table.count(0)
     improved = True
     while improved:
@@ -539,27 +538,17 @@ def _near_ols_permutation(d: int):
 
 
 def _repair_to_permutation(ranks, suits):
-    """Card-encode a pair, replacing duplicate pairs by the missing ones."""
-    d = ranks.shape[0]
-    seen = {}
-    holes = []
-    for r in range(d):
-        for c in range(d):
-            key = (int(ranks[r, c]), int(suits[r, c]))
-            if key in seen:
-                holes.append((r, c))
-            else:
-                seen[key] = (r, c)
-    missing = sorted(
-        set(itertools.product(range(d), repeat=2)) - set(seen.keys())
-    )
-    cell_pair = {cell: key for key, cell in seen.items()}
-    for cell, key in zip(holes, missing):
-        cell_pair[cell] = key
-    out = np.zeros((d * d, d * d), dtype=np.int64)
-    for (r, c), (v, s) in cell_pair.items():
-        out[v * d + s, r * d + c] = 1
-    return out
+    """Card-encode a pair, replacing duplicate cards by the missing ones.
+
+    Scanning cells row by row, the k-th cell whose card an earlier cell
+    already holds gets the k-th smallest card that no cell holds.
+    """
+    cards = _cards(ranks, suits)
+    cells = np.arange(cards.size)
+    first = np.full(cards.size, cards.size)  # the first cell holding each card
+    np.minimum.at(first, cards, cells)
+    cards[first[cards] != cells] = np.flatnonzero(first == cards.size)
+    return _card_permutation(cards)
 
 
 def default_base_permutation(d: int = 6):
@@ -617,9 +606,7 @@ def brute_force_permutations(d: int) -> list:
 
     def place(nu, seen):
         if nu == n:
-            mat = np.zeros((n, n), dtype=np.int64)
-            mat[perm, np.arange(n)] = 1
-            results.append(mat)
+            results.append(_card_permutation(perm))
             return
         for mu, mask in enumerate(masks[nu]):
             if not seen & mask:

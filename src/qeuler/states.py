@@ -15,9 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .designs import OrthogonalLatinPair, verify_orthogonal_pair
-from .errors import DimensionError, InvalidDesignError, NumericError
-from .linalg import _check_tol, _frobenius, _subtract_diagonal, _unfoldings, block_dim
+from .designs import OrthogonalLatinPair, ols_to_permutation
+from .errors import DimensionError, NumericError
+from .linalg import _check_tol, _marginal_defects, _unfoldings, block_dim
 
 __all__ = [
     "PureState",
@@ -94,20 +94,12 @@ def _split_sides(state: PureState, left):
         raise ValueError(f"split {left} is not a subset of the {n} parties")
     if not 0 < len(left) < n:
         raise ValueError("split must leave at least one party on each side")
-    right = tuple(q for q in range(n) if q not in left)
-    return left, right
-
-
-def _coefficient_matrix(state: PureState, left, right):
-    dl = math.prod(state.dims[q] for q in left)
-    dr = math.prod(state.dims[q] for q in right)
-    return state.tensor().transpose(left + right).reshape(dl, dr)
+    return left
 
 
 def schmidt_decompose(state: PureState, left, rank_tol: float = 1e-12):
     """Schmidt decomposition across the bipartition (left parties | rest)."""
-    left, right = _split_sides(state, left)
-    c = _coefficient_matrix(state, left, right)
+    c = _unfoldings(state.tensor(), [_split_sides(state, left)])[0]
     u, s, vh = np.linalg.svd(c, full_matrices=True)
     lambdas = s**2
     rank = int(np.count_nonzero(lambdas > rank_tol))
@@ -156,10 +148,7 @@ def reduced_density(state: PureState, keep) -> np.ndarray:
         raise ValueError(f"keep {keep} must be a nonempty set of parties")
     if any(not 0 <= q < n for q in keep):
         raise ValueError(f"keep {keep} out of range for {n} parties")
-    if len(keep) == n:
-        amps = state.amplitudes
-        return np.outer(amps, np.conj(amps))
-    mat = _coefficient_matrix(state, keep, tuple(q for q in range(n) if q not in keep))
+    mat = _unfoldings(state.tensor(), [keep])[0]
     return mat @ np.conj(mat.T)
 
 
@@ -191,10 +180,8 @@ def _uniformity_report(state: PureState, kind, k, subsets, tol, note=""):
         groups.setdefault(math.prod(state.dims[q] for q in keep), []).append(keep)
     found = {}
     for dk, group in groups.items():
-        m = _unfoldings(state.tensor(), group)  # the coefficient matrices
-        rho = m @ m.conj().swapaxes(-1, -2)
-        _subtract_diagonal(rho, 1.0 / dk)
-        found.update(zip(group, _frobenius(rho, (-2, -1)).tolist()))
+        defects = _marginal_defects(state.tensor(), group, 1.0 / dk)
+        found.update(zip(group, defects.tolist()))
     residuals = {keep: found[keep] for keep in subsets}
     worst = max(residuals, key=residuals.get)
     return UniformityReport(
@@ -251,20 +238,12 @@ def ame_check(state: PureState, tol: float = 1e-10):
 
 
 def ame_from_ols(pair: OrthogonalLatinPair) -> PureState:
-    """Four-party state with amplitude 1/d on |r>|c>|rank(r,c)>|suit(r,c)>."""
-    report = verify_orthogonal_pair(pair)
-    if not report.passed:
-        raise InvalidDesignError(
-            f"pair is not orthogonal Latin; first violation {report.violations[0]}"
-        )
-    d = pair.d
-    amps = np.zeros(d**4, dtype=complex)
-    for r in range(d):
-        for c in range(d):
-            v = int(pair.ranks[r, c])
-            s = int(pair.suits[r, c])
-            amps[((r * d + c) * d + v) * d + s] = 1.0 / d
-    return PureState(dims=(d, d, d, d), amplitudes=amps)
+    """Four-party state with amplitude 1/d on |r>|c>|rank(r,c)>|suit(r,c)>.
+
+    This is state_from_two_unitary of the transposed card encoding. A pair
+    that is not orthogonal Latin raises NotAnOlsError.
+    """
+    return state_from_two_unitary(ols_to_permutation(pair).T)
 
 
 def state_from_two_unitary(u) -> PureState:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from qeuler import OrthogonalLatinPair, ols_to_permutation
+from qeuler import OrthogonalLatinPair, mols_construct, ols_to_permutation
 
 import frozen
 
@@ -18,6 +18,13 @@ def classic_pair():
 def p9(classic_pair):
     """Card encoding of the classic pair: a 2-unitary order-9 permutation."""
     return ols_to_permutation(classic_pair)
+
+
+@pytest.fixture(params=[3, 4, 5, 7])
+def field_pair(request):
+    """The first two finite-field squares of order 3, 4, 5 or 7."""
+    squares = mols_construct(request.param)
+    return OrthogonalLatinPair(ranks=squares[0], suits=squares[1])
 
 
 @pytest.fixture

@@ -538,3 +538,43 @@ def ame4_amplitudes_by_loops(ranks, suits):
             s = int(suits[r, c])
             amps[((r * d + c) * d + v) * d + s] = 1.0 / d
     return amps
+
+
+def classical_cells_by_loops(ranks, suits):
+    """Quantum square whose cell (r, c) is the basis vector |v*d + s>."""
+    ranks = np.asarray(ranks)
+    suits = np.asarray(suits)
+    d = ranks.shape[0]
+    cells = np.zeros((d, d, d * d), dtype=complex)
+    for r in range(d):
+        for c in range(d):
+            cells[r, c, int(ranks[r, c]) * d + int(suits[r, c])] = 1.0
+    return cells
+
+
+def qoa_states_by_loops(cells):
+    """One run |i>|j>|cells[i, j]> per cell, entry by entry."""
+    d = cells.shape[0]
+    n = d * d
+    states = np.zeros((n, n * n), dtype=complex)
+    for i in range(d):
+        for j in range(d):
+            for x in range(n):
+                states[i * d + j, (i * d + j) * n + x] = cells[i, j, x]
+    return states
+
+
+def function_tables_by_loops(ranks, suits):
+    """f1[r, c] = (v, s), f2[s, c] = (v, r) and f3[s, r] = (v, c), cell by cell."""
+    d = ranks.shape[0]
+    f1 = np.zeros((d, d, 2), dtype=np.int64)
+    f2 = np.zeros((d, d, 2), dtype=np.int64)
+    f3 = np.zeros((d, d, 2), dtype=np.int64)
+    for r in range(d):
+        for c in range(d):
+            v = int(ranks[r, c])
+            s = int(suits[r, c])
+            f1[r, c] = (v, s)
+            f2[s, c] = (v, r)
+            f3[s, r] = (v, c)
+    return f1, f2, f3

@@ -5,7 +5,9 @@ import pytest
 from click.testing import CliRunner
 
 from qeuler import (
+    cyclic_latin,
     jsonio,
+    oa_from_latin,
     square_from_unitary_rows,
     state_from_two_unitary,
     two_unitarity_defect,
@@ -128,6 +130,25 @@ def test_verify_malformed_tolerance_is_usage_error(runner, tmp_path, tol):
     jsonio.save_json(
         jsonio.design_to_json("qols", square_from_unitary_rows(np.linalg.qr(g)[0])), path
     )
+    result = invoke(runner, "design", "verify", "--in", str(path), "--tol", tol)
+    assert result.exit_code == 2
+    assert "error: tol must be a finite number >= 0" in result.output
+    assert "PASS" not in result.output
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
+@pytest.mark.parametrize("kind", ["ls", "ols", "mols", "oa"])
+def test_verify_rejects_malformed_tolerance_on_every_kind(runner, tmp_path, kind, tol):
+    # these kinds are checked combinatorially, with no tolerance, and pass
+    path = tmp_path / f"{kind}.json"
+    if kind == "oa":
+        jsonio.save_json(jsonio.design_to_json("oa", oa_from_latin(cyclic_latin(3))), path)
+    else:
+        gen = invoke(
+            runner, "design", "gen", "--kind", kind, "--order", "4", "--out", str(path)
+        )
+        assert gen.exit_code == 0
+    assert invoke(runner, "design", "verify", "--in", str(path)).exit_code == 0
     result = invoke(runner, "design", "verify", "--in", str(path), "--tol", tol)
     assert result.exit_code == 2
     assert "error: tol must be a finite number >= 0" in result.output

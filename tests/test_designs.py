@@ -68,6 +68,24 @@ def test_verify_latin_locates_duplicates():
     assert oracles.latin_violations_by_loops(cells)
 
 
+@pytest.mark.parametrize("d", [2, 3, 5, 6])
+def test_latin_violations_come_in_the_loop_order(d, rng):
+    # rows before columns, then line by line and symbol by symbol; a pair
+    # lists its ranks' lines, then its suits', then C1
+    for _ in range(5):
+        cells = rng.integers(0, d, size=(d, d))
+        got = [(v.condition,) + v.where for v in verify_latin(cells).violations]
+        assert got == oracles.latin_violations_by_loops(cells)
+        report = verify_orthogonal_pair(OrthogonalLatinPair(ranks=cells, suits=cells.T))
+        got = [(v.condition,) + v.where for v in report.violations if v.condition != "C1"]
+        want = [
+            ("C2" if axis == "row" else "C3", name, line, sym)
+            for name, sq in (("ranks", cells), ("suits", cells.T))
+            for axis, line, sym in oracles.latin_violations_by_loops(sq)
+        ]
+        assert got == want
+
+
 def test_verify_latin_flags_out_of_range_symbols():
     cells = cyclic_latin(3)
     cells[2, 2] = 7
@@ -123,6 +141,14 @@ def test_pair_shape_mismatch_is_rejected():
         OrthogonalLatinPair(ranks=cyclic_latin(3), suits=cyclic_latin(4))
 
 
+def test_function_tables_equal_the_loop_tables(field_pair):
+    tables = ols_function_tables(field_pair)
+    want = oracles.function_tables_by_loops(field_pair.ranks, field_pair.suits)
+    for got, table in zip(tables, want):
+        assert got.dtype == table.dtype
+        assert np.array_equal(got, table)
+
+
 def test_function_tables_of_the_classic_pair(classic_pair):
     tables = ols_function_tables(classic_pair)
     assert tuple(tables.f1[0, 0]) == (0, 0)
@@ -156,27 +182,22 @@ def test_classic_pair_encodes_to_frozen_permutation(classic_pair, p9):
     assert (p9.sum(axis=0) == 1).all() and (p9.sum(axis=1) == 1).all()
 
 
-def test_encoded_pair_is_exactly_two_unitary(p9):
-    assert two_unitarity_defect(p9) == 0.0
-    for reordered in (reshuffle(p9), partial_transpose(p9)):
+def test_encoded_pair_is_exactly_two_unitary(field_pair):
+    perm = ols_to_permutation(field_pair)
+    want = oracles.card_matrix_by_loops(field_pair.ranks, field_pair.suits)
+    assert perm.dtype == want.dtype
+    assert np.array_equal(perm, want)
+    assert two_unitarity_defect(perm) == 0.0
+    for reordered in (reshuffle(perm), partial_transpose(perm)):
         assert (reordered.sum(axis=0) == 1).all()
         assert (reordered.sum(axis=1) == 1).all()
         assert np.all((reordered == 0) | (reordered == 1))
 
 
-def test_permutation_round_trip(classic_pair, p9):
-    back = permutation_to_ols(p9)
-    assert np.array_equal(back.ranks, classic_pair.ranks)
-    assert np.array_equal(back.suits, classic_pair.suits)
-
-
-def test_round_trip_on_field_constructed_pairs():
-    for q in (4, 5, 7):
-        squares = mols_construct(q)
-        pair = OrthogonalLatinPair(ranks=squares[0], suits=squares[1])
-        back = permutation_to_ols(ols_to_permutation(pair))
-        assert np.array_equal(back.ranks, pair.ranks)
-        assert np.array_equal(back.suits, pair.suits)
+def test_permutation_round_trip(field_pair):
+    back = permutation_to_ols(ols_to_permutation(field_pair))
+    assert np.array_equal(back.ranks, field_pair.ranks)
+    assert np.array_equal(back.suits, field_pair.suits)
 
 
 def test_identity_permutation_does_not_decode():
@@ -273,9 +294,16 @@ def test_quantum_conditions_survive_local_rotations(classic_pair, rng):
     assert report.max_residual <= 1e-12
 
 
+def test_classical_embed_equals_the_loop_square(field_pair):
+    cells = classical_embed(field_pair).cells
+    want = oracles.classical_cells_by_loops(field_pair.ranks, field_pair.suits)
+    assert cells.dtype == want.dtype
+    assert np.array_equal(cells, want)
+
+
 def test_embedding_rejects_invalid_pairs():
     sq = cyclic_latin(3)
-    with pytest.raises(InvalidDesignError):
+    with pytest.raises(NotAnOlsError):
         classical_embed(OrthogonalLatinPair(ranks=sq, suits=sq))
 
 
@@ -488,6 +516,46 @@ def test_qoa_from_embedded_classic_pair(classic_pair):
     assert report.passed
     assert report.max_residual <= 1e-12
     assert len(report.family_residuals) == 6  # all 2-of-4 party subsets
+
+
+def test_qoa_from_qols_equals_the_loop_runs(field_pair, rng):
+    d = field_pair.d
+    for square in (
+        classical_embed(field_pair),
+        square_from_unitary_rows(random_unitary(d * d, rng)),
+    ):
+        states = qoa_from_qols(square).states
+        want = oracles.qoa_states_by_loops(square.cells)
+        assert states.dtype == want.dtype
+        assert np.array_equal(states, want)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_qoa_verify_matches_summed_loop_marginals(d, rng):
+    # the run states of a unitary's rows have flat (0, 1) and (2, 3)
+    # marginals and uneven mixed ones; perturbed rows spoil (0, 1) as well
+    tol = 1e-10
+    u = random_unitary(d * d, rng)
+    noise = rng.standard_normal((d * d, d * d))
+    for rows in (u, u + 0.1 * noise):
+        arr = qoa_from_qols(square_from_unitary_rows(rows))
+        report = qoa_verify(arr, tol)
+        lam = len(arr.states) / d**2
+        want = {}
+        for keep in itertools.combinations(range(4), 2):
+            summed = sum(
+                oracles.reduced_density_by_loops(run, (d,) * 4, keep)
+                for run in arr.states
+            )
+            want[keep] = float(np.linalg.norm(summed - lam * np.eye(d * d)))
+        assert list(report.family_residuals) == [f"keep{keep}" for keep in want]
+        for keep, value in want.items():
+            assert _close(report.family_residuals[f"keep{keep}"], value), keep
+        assert [v.where for v in report.violations] == [
+            keep for keep, value in want.items() if value > tol
+        ]
+        assert {v.condition for v in report.violations} <= {"marginal"}
+        assert report.passed == all(value <= tol for value in want.values())
 
 
 def test_qoa_detects_non_uniform_marginals():

@@ -469,6 +469,20 @@ def test_base_equals_the_set_counting_search(d):
     assert got == count
 
 
+@pytest.mark.parametrize("d", range(4, 9))
+def test_repair_equals_the_loop_repair(d):
+    # two independent random Latin squares share many duplicate pairs
+    rng = np.random.default_rng(4100 + d)
+    for _ in range(4):
+        ranks = oracles.random_latin_by_permutations(d, rng)
+        suits = oracles.random_latin_by_permutations(d, rng)
+        assert oracles.distinct_pair_count(ranks, suits) < d * d
+        got = solver._repair_to_permutation(ranks, suits)
+        want = oracles.repaired_card_matrix_by_loops(ranks, suits)
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
+
+
 def test_bases_of_orders_two_to_ten_come_from_latin_squares(monkeypatch):
     # the squares handed to the repair: a pass of the local search can leave
     # a square that is not Latin (the order-12 base's suits square is not),

@@ -314,6 +314,14 @@ def test_ame_from_field_constructed_pairs():
         assert report.passed, f"q={q}"
 
 
+def test_ame_from_ols_equals_the_loop_amplitudes(field_pair):
+    psi = ame_from_ols(field_pair)
+    want = oracles.ame4_amplitudes_by_loops(field_pair.ranks, field_pair.suits)
+    assert psi.dims == (field_pair.d,) * 4
+    assert psi.amplitudes.dtype == want.dtype
+    assert np.array_equal(psi.amplitudes, want)
+
+
 def test_ame_from_ols_rejects_invalid_pairs():
     sq = cyclic_latin(3)
     with pytest.raises(InvalidDesignError):
