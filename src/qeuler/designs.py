@@ -137,6 +137,13 @@ class OrthogonalLatinPair:
         return self.ranks.shape[0]
 
 
+def _finite_cells(arr):
+    """arr itself, once it is known to hold no NaN or infinite entry."""
+    if not np.isfinite(arr).all():
+        raise NumericError("cells contain non-finite values")
+    return arr
+
+
 @dataclass(frozen=True)
 class QuantumSquare:
     """A d x d grid of state vectors, cells[r, c] in C**cell_dim."""
@@ -149,9 +156,17 @@ class QuantumSquare:
             raise DimensionError(
                 f"expected cells of shape (d, d, cell_dim), got {arr.shape}"
             )
-        if not np.all(np.isfinite(arr)):
-            raise NumericError("cells contain non-finite values")
-        object.__setattr__(self, "cells", arr)
+        object.__setattr__(self, "cells", _finite_cells(arr))
+
+    @classmethod
+    def _unchecked(cls, cells):
+        """The square without __post_init__'s checks, for callers that ran them.
+
+        cells must be a finite complex array of shape (d, d, cell_dim).
+        """
+        square = object.__new__(cls)
+        object.__setattr__(square, "cells", cells)
+        return square
 
     @property
     def d(self) -> int:
@@ -422,11 +437,12 @@ def square_from_unitary_rows(u) -> QuantumSquare:
     """Arrange the rows of an order d*d matrix into a d x d quantum square.
 
     Row i*d + j becomes cell (i, j). When u is 2-unitary the result satisfies
-    every quantum Graeco-Latin condition.
+    every quantum Graeco-Latin condition. The matrix is converted and
+    checked once, here: a non-finite entry raises NumericError.
     """
     arr = np.asarray(u, dtype=complex)
     d = block_dim(arr)
-    return QuantumSquare(cells=arr.reshape(d, d, d * d))
+    return QuantumSquare._unchecked(_finite_cells(arr.reshape(d, d, d * d)))
 
 
 def qls_verify(square: QuantumSquare, tol: float = 1e-10) -> DesignReport:
@@ -445,14 +461,15 @@ def qls_verify(square: QuantumSquare, tol: float = 1e-10) -> DesignReport:
 
 
 # qols_verify reads the cells as a tensor [row, col, p, q], p and q the two
-# parties of a cell, and gathers six of its unfoldings (linalg._unfoldings:
-# these axes as rows, the others as columns). Rows (2, 3) and (0, 1) are the
-# matrix whose rows are the cells, transposed and as it is: Q1 and its
-# completeness are their Gram defects. Rows (0, 2) pair a row i with party
-# p, so block (i, j) of A A* sums the overlaps of the cells of rows i and j
-# with party q traced out: Q2-rows-trB. Rows (0, 3) trace out party p
-# instead (Q2-rows-trA), and (1, 2) and (1, 3) do the same for columns.
-_QOLS_ROWS = ((2, 3), (0, 1), (0, 2), (0, 3), (1, 2), (1, 3))
+# parties of a cell, and gathers six of its unfoldings A (linalg._unfoldings:
+# these axes as rows, the others as columns), all of order d*d. Rows (0, 1)
+# give the matrix whose rows are the cells, so A A* - I is Q1. Rows (2, 3)
+# give its transpose, whose A A* sums |cell><cell| over the cells: its
+# distance from I is Q1-completeness. Rows (0, 2) pair a row i with party p,
+# so block (i, j) of A A* sums the overlaps of the cells of rows i and j with
+# party q traced out: Q2-rows-trB. Rows (0, 3) trace out party p instead
+# (Q2-rows-trA), and (1, 2) and (1, 3) do the same for columns.
+_QOLS_ROWS = ((0, 1), (2, 3), (0, 2), (0, 3), (1, 2), (1, 3))
 _OVERLAP_FAMILIES = ("Q2-rows-trB", "Q2-rows-trA", "Q3-cols-trB", "Q3-cols-trA")
 
 
@@ -467,10 +484,11 @@ def qols_verify(square: QuantumSquare, tol: float = 1e-10) -> DesignReport:
       Q3-cols-trB / Q3-cols-trA   the same for columns.
     A Q2/Q3 violation names the worst pair (i, j), the first in row-major
     order on ties. The report's max_residual aggregates the families by
-    their maximum. All six families are unfoldings of the cells, gathered
-    into one stack: Q1 and its completeness come from one gram_defect call,
-    the four overlap families from one stacked product and one reduction
-    over its d x d blocks. tol must be a finite number >= 0.
+    their maximum. All six families are unfoldings A of the cells, gathered
+    into one stack, and one stacked product A A* gives them all: Q1 and its
+    completeness are the Frobenius distances of its first two matrices from
+    the identity, the four overlap families the worst d x d block of the
+    other four. tol must be a finite number >= 0.
     """
     _check_tol(tol)
     d = square.d
@@ -480,12 +498,12 @@ def qols_verify(square: QuantumSquare, tol: float = 1e-10) -> DesignReport:
             "for the two-party conditions"
         )
     a = _unfoldings(square.cells.reshape(d, d, d, d), _QOLS_ROWS)
-    q1, complete = gram_defect(a[:2]).tolist()
-    worst = {"Q1": (q1, ()), "Q1-completeness": (complete, ())}
-    g = a[2:] @ a[2:].conj().swapaxes(-1, -2)
+    g = a @ a.conj().swapaxes(-1, -2)
     _subtract_diagonal(g, 1.0)
-    # g[family] read as [i, p, j, q]: block (i, j) is g[family, i, :, j, :]
-    blocks = _frobenius(g.reshape(4, d, d, d, d), (2, 4)).reshape(4, d * d)
+    q1, complete = _frobenius(g[:2], (-2, -1)).tolist()
+    worst = {"Q1": (q1, ()), "Q1-completeness": (complete, ())}
+    # g[2 + family] read as [i, p, j, q]: block (i, j) is g[2 + family, i, :, j, :]
+    blocks = _frobenius(g[2:].reshape(4, d, d, d, d), (2, 4)).reshape(4, d * d)
     at = blocks.argmax(axis=1).tolist()
     for family, row, k in zip(_OVERLAP_FAMILIES, blocks.tolist(), at):
         worst[family] = (row[k], divmod(k, d))

@@ -90,6 +90,17 @@ def _unfolding_index(shape, row_sets) -> np.ndarray:
     return index
 
 
+@lru_cache(maxsize=64)
+def _subsets(n, k, with_first=False) -> tuple:
+    """The k-subsets of range(n) in lexicographic order, as sorted tuples.
+
+    With with_first=True only those that hold 0: for k = n / 2 one of each
+    complementary pair, so one unfolding of each pair of mutual transposes.
+    """
+    subsets = itertools.combinations(range(n), k)
+    return tuple(rows for rows in subsets if not with_first or rows[0] == 0)
+
+
 def _marginal_defects(t, row_sets, c) -> np.ndarray:
     """Frobenius norms of M M* - c I over the unfoldings M of t (see _unfoldings).
 
@@ -237,7 +248,7 @@ def gram_defect(m):
 def _subtract_diagonal(g, c) -> None:
     """Subtract c from the diagonal of every matrix of a C-contiguous stack, in place."""
     k = g.shape[-1]
-    diagonal = g.reshape(g.shape[:-2] + (k * k,))[..., :: k + 1]
+    diagonal = g.reshape(-1, k * k)[:, :: k + 1]
     diagonal -= c
 
 
@@ -255,7 +266,7 @@ def two_unitarity_defect(m) -> float:
     like it this accepts only a finite matrix.
     """
     m = np.asarray(m)
-    return multi_unitarity_check(m, block_dim(m), 2).max_defect
+    return max(_balanced_defects(m, block_dim(m), 2))
 
 
 @dataclass(frozen=True)
@@ -299,15 +310,22 @@ def multi_unitarity_check(t, dim: int, half_order: int, tol: float = 1e-10):
         raise DimensionError(
             f"tensor has {t.size} entries, expected {dim}**{n_axes} = {dim**n_axes}"
         )
-    t = np.asarray(t, dtype=complex).reshape((dim,) * n_axes)
-    if not np.isfinite(t).all():
-        raise NumericError("tensor has non-finite entries")
-    subsets = [
-        rows
-        for rows in itertools.combinations(range(n_axes), half_order)
-        if rows[0] == 0
-    ]
-    defects = gram_defect(_unfoldings(t, subsets)).tolist()
+    subsets = _subsets(n_axes, half_order, with_first=True)
+    defects = _balanced_defects(t, dim, half_order)
     return MultiUnitarityReport(
         half_order=half_order, dim=dim, tol=tol, defects=tuple(zip(subsets, defects))
     )
+
+
+def _balanced_defects(t, dim, half_order) -> list:
+    """The defects of multi_unitarity_check, in its order, as a list.
+
+    Its core: t must have dim**(2*half_order) entries and half_order must be
+    2 or 3; only finiteness is checked here.
+    """
+    n_axes = 2 * half_order
+    t = np.asarray(t, dtype=complex).reshape((dim,) * n_axes)
+    if not np.isfinite(t).all():
+        raise NumericError("tensor has non-finite entries")
+    subsets = _subsets(n_axes, half_order, with_first=True)
+    return gram_defect(_unfoldings(t, subsets)).tolist()

@@ -9,15 +9,16 @@ construction.
 
 from __future__ import annotations
 
-import itertools
 import math
+import operator
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from .designs import OrthogonalLatinPair, ols_to_permutation
 from .errors import DimensionError, NumericError
-from .linalg import _check_tol, _marginal_defects, _unfoldings, block_dim
+from .linalg import _check_tol, _marginal_defects, _subsets, _unfoldings, block_dim
 
 __all__ = [
     "PureState",
@@ -35,6 +36,20 @@ __all__ = [
 ]
 
 _NORM_TOL = 1e-8
+# the smallest norm whose square is a normal float, so that dividing by it
+# normalizes to full precision
+_MIN_NORM = math.sqrt(sys.float_info.min)
+
+
+def _norm(x) -> float:
+    """Frobenius norm of x as np.linalg.norm takes it, inf where that overflows.
+
+    A NaN or infinite entry makes it NaN or inf, so a finite norm shows that
+    every entry is finite; only a norm that is not finite needs the
+    entrywise test to tell non-finite entries from an overflow.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        return float(np.linalg.norm(x))
 
 
 @dataclass(frozen=True)
@@ -45,7 +60,12 @@ class PureState:
     amplitudes: np.ndarray
 
     def __post_init__(self):
-        dims = tuple(int(d) for d in self.dims)
+        try:
+            dims = tuple(operator.index(d) for d in self.dims)
+        except TypeError:
+            raise DimensionError(
+                f"party dimensions must be integers, got {self.dims!r}"
+            ) from None
         if len(dims) < 1 or any(d < 1 for d in dims):
             raise DimensionError(f"invalid party dimensions {dims}")
         amps = np.asarray(self.amplitudes, dtype=complex).ravel()
@@ -55,13 +75,25 @@ class PureState:
                 f"{amps.size} amplitudes do not fill dimensions {dims} "
                 f"(need {total})"
             )
-        if not np.all(np.isfinite(amps)):
+        norm = _norm(amps)
+        if not math.isfinite(norm) and not np.isfinite(amps).all():
             raise NumericError("amplitudes contain non-finite values")
-        norm = float(np.linalg.norm(amps))
         if abs(norm - 1.0) > _NORM_TOL:
             raise ValueError(f"state is not normalized: |amplitudes| = {norm!r}")
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "amplitudes", amps)
+
+    @classmethod
+    def _unchecked(cls, dims, amplitudes):
+        """The state without __post_init__'s checks, for callers that ran them.
+
+        dims must be a tuple of ints >= 1 and amplitudes a 1-D complex unit
+        vector of their product's length.
+        """
+        state = object.__new__(cls)
+        object.__setattr__(state, "dims", dims)
+        object.__setattr__(state, "amplitudes", amplitudes)
+        return state
 
     @property
     def n_parties(self) -> int:
@@ -172,17 +204,22 @@ def _uniformity_report(state: PureState, kind, k, subsets, tol, note=""):
     The coefficient matrices of the subsets whose marginals have the same
     shape are gathered into one stack, so one product M M* gives all their
     reduced density matrices and one reduction their distances from I/dk.
+    With equal party dimensions that is one stack for all the subsets.
     """
     _check_tol(tol)
-    subsets = list(subsets)
-    groups = {}  # dk -> the subsets whose marginals are dk x dk
-    for keep in subsets:
-        groups.setdefault(math.prod(state.dims[q] for q in keep), []).append(keep)
-    found = {}
+    dims = state.dims
+    if len(set(dims)) == 1:
+        groups = {dims[0] ** k: subsets}
+    else:
+        groups = {}  # dk -> the subsets whose marginals are dk x dk
+        for keep in subsets:
+            groups.setdefault(math.prod(dims[q] for q in keep), []).append(keep)
+    residuals = {}
     for dk, group in groups.items():
         defects = _marginal_defects(state.tensor(), group, 1.0 / dk)
-        found.update(zip(group, defects.tolist()))
-    residuals = {keep: found[keep] for keep in subsets}
+        residuals.update(zip(group, defects.tolist()))
+    if len(groups) > 1:
+        residuals = {keep: residuals[keep] for keep in subsets}
     worst = max(residuals, key=residuals.get)
     return UniformityReport(
         kind=kind,
@@ -205,8 +242,7 @@ def k_uniform_check(state: PureState, k: int, tol: float = 1e-10):
     n = state.n_parties
     if not 1 <= k <= n // 2:
         raise ValueError(f"k must satisfy 1 <= k <= {n // 2}, got {k}")
-    subsets = itertools.combinations(range(n), k)
-    return _uniformity_report(state, "k-uniform", k, subsets, tol)
+    return _uniformity_report(state, "k-uniform", k, _subsets(n, k), tol)
 
 
 def ame_check(state: PureState, tol: float = 1e-10):
@@ -227,13 +263,10 @@ def ame_check(state: PureState, tol: float = 1e-10):
         raise DimensionError("need at least two parties")
     k = n // 2
     if n % 2:
-        subsets = itertools.combinations(range(n), k)
         note = f"odd party count: maximal entanglement means {k}-uniformity"
     else:
-        subsets = [
-            (0,) + rest for rest in itertools.combinations(range(1, n), k - 1)
-        ]
         note = "complementary marginals share spectra; only subsets with party 0 listed"
+    subsets = _subsets(n, k, with_first=not n % 2)
     return _uniformity_report(state, "ame", k, subsets, tol, note)
 
 
@@ -253,17 +286,27 @@ def state_from_two_unitary(u) -> PureState:
     parties three and four index the column (the bipartite cell content). For
     unitary u the normalization is exactly 1/d per entry; non-unitary inputs
     are normalized by their Frobenius norm and yield non-uniform marginals,
-    which is what makes them useful as negative examples. Non-finite
-    entries raise NumericError.
+    which is what makes them useful as negative examples. The amplitudes
+    are u.reshape(-1) / np.linalg.norm(u), the same bits; where that norm
+    would overflow or lose precision to underflow, u is first divided by
+    its largest real or imaginary part. One norm both normalizes and shows
+    the entries finite: only a norm that is not finite, or too small to
+    square without underflow, pays for the entrywise test. Non-finite
+    entries raise NumericError, and so does the zero matrix.
     """
     arr = np.asarray(u, dtype=complex)
     d = block_dim(arr)
-    if not np.all(np.isfinite(arr)):
-        raise NumericError("matrix has non-finite entries")
-    norm = float(np.linalg.norm(arr))
-    if norm == 0.0:
-        raise NumericError("cannot build a state from the zero matrix")
-    return PureState(dims=(d, d, d, d), amplitudes=(arr / norm).reshape(-1))
+    norm = _norm(arr)
+    if not _MIN_NORM <= norm < math.inf:
+        if not np.isfinite(arr).all():
+            raise NumericError("matrix has non-finite entries")
+        parts = np.ascontiguousarray(arr).view(float)
+        largest = np.abs(parts).max()
+        if largest == 0.0:
+            raise NumericError("cannot build a state from the zero matrix")
+        arr = (parts / largest).view(complex)  # real division: no overflow
+        norm = _norm(arr)
+    return PureState._unchecked((d,) * 4, (arr / norm).reshape(-1))
 
 
 def closest_separable_distance(state: PureState, left) -> float:

@@ -33,6 +33,8 @@ from qeuler import (
     verify_orthogonal_pair,
 )
 
+from qeuler.linalg import gram_defect
+
 import frozen
 import oracles
 from conftest import random_unitary
@@ -323,6 +325,42 @@ def test_quantum_square_rejects_non_finite_cells():
         cells[1, 2, 4] = bad
         with pytest.raises(NumericError):
             QuantumSquare(cells=cells)
+
+
+def test_square_from_unitary_rows_rejects_non_finite_entries():
+    for bad in (np.nan, np.inf):
+        u = np.eye(9, dtype=complex)
+        u[4, 2] = bad
+        with pytest.raises(NumericError, match="non-finite"):
+            square_from_unitary_rows(u)
+
+
+@pytest.mark.parametrize("d", [2, 3, 6])
+def test_square_from_unitary_rows_is_the_checked_constructor(d, rng):
+    n = d * d
+    for u in (
+        rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)),
+        np.eye(n, dtype=int),
+    ):
+        got = square_from_unitary_rows(u)
+        want = QuantumSquare(cells=u.reshape(d, d, n))
+        assert got.cells.shape == want.cells.shape == (d, d, n)
+        assert got.cells.dtype == want.cells.dtype == complex
+        assert got.cells.tobytes() == want.cells.tobytes()
+
+
+@pytest.mark.parametrize("d", [2, 3, 6])
+def test_qols_completeness_families_are_the_gram_defects(d, rng):
+    # Q1 and Q1-completeness come out of the stacked product A A*; they are
+    # the Gram defects of the transposed and the plain cell matrix, bit for bit
+    n = d * d
+    for u in (
+        rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)),
+        random_unitary(n, rng),
+    ):
+        report = qols_verify(square_from_unitary_rows(u))
+        assert report.family_residuals["Q1"] == gram_defect(np.ascontiguousarray(u.T))
+        assert report.family_residuals["Q1-completeness"] == gram_defect(u)
 
 
 def test_qols_verify_needs_bipartite_cells():

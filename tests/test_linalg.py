@@ -18,7 +18,7 @@ from qeuler import (
     unitarity_defect,
 )
 
-from qeuler.linalg import gram_defect
+from qeuler.linalg import _subsets, _subtract_diagonal, gram_defect
 
 import frozen
 import oracles
@@ -217,6 +217,24 @@ def test_gram_defect_is_the_norm_formula_bit_for_bit(rng):
         assert np.array_equal(got, want)
         if m.ndim == 2:
             assert type(got) is float
+
+
+def test_subtract_diagonal_is_the_identity_subtraction_bit_for_bit(rng):
+    for shape in ((4, 4), (3, 9, 9), (2, 5, 16, 16), (6, 36, 36)):
+        g = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        for c in (1.0, 1 / 9):
+            got = g.copy()
+            _subtract_diagonal(got, c)
+            assert got.tobytes() == (g - c * np.eye(shape[-1])).tobytes()
+
+
+def test_subsets_are_built_once_in_lexicographic_order():
+    balanced = _subsets(6, 3, with_first=True)
+    assert balanced is _subsets(6, 3, with_first=True)
+    assert balanced == tuple(
+        rows for rows in itertools.combinations(range(6), 3) if rows[0] == 0
+    )
+    assert _subsets(5, 2) == tuple(itertools.combinations(range(5), 2))
 
 
 def test_two_unitarity_defect_of_identity_and_swap():

@@ -47,6 +47,26 @@ def test_pure_state_validation():
         PureState(dims=(2,), amplitudes=np.array([np.nan, 0.0]))
 
 
+def test_pure_state_takes_integer_party_dimensions_only():
+    amps = np.ones(4) / 2
+    for dims in [(2.7, 2), ("2", 2), (2.0, 2), (None, 2)]:
+        with pytest.raises(DimensionError, match="integers"):
+            PureState(dims=dims, amplitudes=amps)
+    psi = PureState(dims=(np.int64(2), np.int32(2)), amplitudes=amps)
+    assert psi.dims == (2, 2)
+    assert all(type(d) is int for d in psi.dims)
+
+
+def test_pure_state_rejects_norm_overflow_as_not_normalized():
+    # finite amplitudes whose norm overflows are simply not a unit vector
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="not normalized"):
+            PureState(dims=(2,), amplitudes=np.array([1e200, 0.0]))
+        with pytest.raises(NumericError, match="non-finite"):
+            PureState(dims=(2,), amplitudes=np.array([1e200, np.inf]))
+
+
 # ---------------------------------------------------------------------------
 # Schmidt data
 
@@ -371,13 +391,44 @@ def test_state_from_two_unitary_normalizes_and_rejects_zero():
 
 
 def test_state_from_two_unitary_rejects_non_finite_entries():
-    for bad in (np.nan, np.inf):
-        u = np.eye(4, dtype=complex)
-        u[0, 1] = bad
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with pytest.raises(NumericError, match="non-finite"):
-                state_from_two_unitary(u)
+    for scale in (1.0, 1e200):  # 1e200: the norm overflows before the inf shows
+        for bad in (np.nan, np.inf, -np.inf, complex(0.0, np.inf)):
+            u = scale * np.eye(4, dtype=complex)
+            u[0, 1] = bad
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(NumericError, match="non-finite"):
+                    state_from_two_unitary(u)
+
+
+@pytest.mark.parametrize(
+    "size, phase",
+    [(1e200, 1), (1e308, -1), (1.7e308, 1 + 1j), (1e-160, 1j), (1e-200, 1), (5e-324, 1)],
+)
+def test_state_from_two_unitary_normalizes_whatever_the_scale(size, phase):
+    # the Frobenius norm of these finite matrices overflows or underflows
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        psi = state_from_two_unitary(size * phase * np.eye(4))
+    want = state_from_two_unitary(phase * np.eye(4)).amplitudes
+    assert np.abs(psi.amplitudes - want).max() <= 1e-16
+    assert np.linalg.norm(psi.amplitudes) == pytest.approx(1.0, abs=1e-15)
+
+
+@pytest.mark.parametrize("d", [2, 3, 6])
+def test_state_from_two_unitary_is_the_checked_constructor(d, rng):
+    n = d * d
+    for u in (
+        rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)),
+        random_unitary(n, rng),
+    ):
+        got = state_from_two_unitary(u)
+        want = PureState(dims=(d,) * 4, amplitudes=u.reshape(-1) / np.linalg.norm(u))
+        assert got.dims == want.dims == (d, d, d, d)
+        assert all(type(q) is int for q in got.dims)
+        assert got.amplitudes.ndim == 1
+        assert got.amplitudes.dtype == want.amplitudes.dtype == complex
+        assert got.amplitudes.tobytes() == want.amplitudes.tobytes()
 
 
 # ---------------------------------------------------------------------------
