@@ -291,17 +291,11 @@ def mols_construct(q: int) -> list:
         raise InvalidDesignError(
             f"order {q} admits no orthogonal mate; need q >= 3"
         )
-    f = _field_cached(q)
-    els = f.elements()
-    squares = []
-    for a in els[1:]:
-        sq = np.zeros((q, q), dtype=np.int64)
-        for x in range(q):
-            ax = a * els[x]
-            for y in range(q):
-                sq[x, y] = (ax + els[y]).label
-        squares.append(sq)
-    return squares
+    els = _field_cached(q).elements()
+    # add[x, y] and mul[x, y]: the labels of x + y and x * y
+    add = np.array([[(x + y).label for y in els] for x in els], dtype=np.int64)
+    mul = np.array([[(x * y).label for y in els] for x in els], dtype=np.int64)
+    return [add[mul[a]] for a in range(1, q)]
 
 
 def verify_orthogonal_pair(pair: OrthogonalLatinPair) -> DesignReport:
@@ -523,9 +517,8 @@ def qols_verify(square: QuantumSquare, tol: float = 1e-10) -> DesignReport:
 def oa_from_latin(cells) -> OrthogonalArray:
     """The runs (r, c, symbol) of a Latin square as a strength-2 array."""
     arr = _as_cells(cells)
-    d = arr.shape[0]
-    rows = [(r, c, int(arr[r, c])) for r in range(d) for c in range(d)]
-    return OrthogonalArray(levels=d, strength=2, rows=np.array(rows))
+    rows = np.stack([*np.indices(arr.shape), arr], axis=-1).reshape(-1, 3)
+    return OrthogonalArray(levels=arr.shape[0], strength=2, rows=rows)
 
 
 def oa_verify(a: OrthogonalArray) -> DesignReport:

@@ -16,7 +16,7 @@ import operator
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -125,8 +125,13 @@ class SearchConfig:
             raise ValueError(f"epsilon must be a finite number >= 0, got {self.epsilon!r}")
         if not (math.isfinite(self.tol) and self.tol > 0):
             raise ValueError(f"tol must be a finite number > 0, got {self.tol!r}")
-        if self.max_iter is not None and self.max_iter < 0:
-            raise ValueError("max_iter must be nonnegative")
+        if self.max_iter is not None:
+            try:
+                object.__setattr__(self, "max_iter", operator.index(self.max_iter))
+            except TypeError:
+                raise ValueError(f"max_iter must be an int, got {self.max_iter!r}") from None
+            if self.max_iter < 0:
+                raise ValueError("max_iter must be nonnegative")
 
     @property
     def resolved_max_iter(self) -> int:
@@ -267,40 +272,36 @@ def search(config: SearchConfig) -> SearchRun:
     Each iteration is one call of the step behind sinkhorn_step, and each
     trace entry is taken from what that step already holds: the U^R term
     ||Y*Y - I|| = sqrt(sum((s**2 - 1)**2)) from the singular values s of the
-    reshuffle Y that the step decomposes anyway, the U and U^Gamma terms
-    from one Gram product each. It equals two_unitarity_defect of the polar
-    factor up to rounding.
+    reshuffle Y that the step decomposes anyway, the U^Gamma term from one
+    Gram product. The polar factor itself is unitary by construction, so
+    the trace equals its two_unitarity_defect up to rounding.
     """
-    return _lockstep([config])[0]
+    return _lockstep(config, [config.rng_seed])[0]
 
 
-def _lockstep(configs) -> list:
-    """The searches of configs of one order, stepped side by side.
+def _lockstep(config: SearchConfig, rng_seeds) -> list:
+    """The searches of config from each of rng_seeds, stepped side by side.
 
     Each iteration is one _step of the stack of runs still going: one stacked
     SVD of the iterates and one of the reshuffles. Each run keeps its own
-    trace, tol, max_iter and stop reason, and leaves the stack when it
-    stops, before the next step; the reshuffle spectra of the last three
-    steps, which the stall test compares, lose its row at the same time.
-    Every operation acts on each matrix of the stack on its own, so a run's
-    numbers do not depend on the other runs beside it.
+    trace and stop reason, and leaves the stack when it stops, before the
+    next step; the reshuffle spectra of the last three steps, which the
+    stall test compares, lose its row at the same time. Every operation acts
+    on each matrix of the stack on its own, so a run's numbers do not depend
+    on the other runs beside it.
     """
-    x = np.stack([np.asarray(seed_matrix(c), dtype=complex) for c in configs])
+    x = np.stack([seed_matrix(config, np.random.default_rng(r)) for r in rng_seeds])
     if not np.all(np.isfinite(x)):
         raise NumericError("seed matrix has non-finite entries")
-    live = list(range(len(configs)))  # the config of each row of the stack
-    max_iter = [c.resolved_max_iter for c in configs]
+    live = list(range(len(x)))  # the run of each row of the stack
     past = []  # s of the last three steps, oldest first, rows as in x
-    traces = [[] for _ in configs]
-    runs = [None] * len(configs)
-    n = 0
-    while True:
+    traces = [[] for _ in live]
+    runs = [None] * len(live)
+    for n in range(config.resolved_max_iter + 1):
         x, v, s = _step(x)
         s2 = s * s - 1.0
-        defect = np.maximum(
-            np.maximum(gram_defect(v), np.sqrt((s2 * s2).sum(axis=-1))),
-            gram_defect(partial_transpose(v)),
-        )
+        u_r = np.sqrt((s2 * s2).sum(axis=-1))
+        defect = np.maximum(u_r, gram_defect(partial_transpose(v)))
         if len(past) == 3:
             moved = np.abs(s - past.pop(0)).max(axis=-1)
             fixed = (moved <= STALL_RTOL * defect).tolist()
@@ -311,16 +312,16 @@ def _lockstep(configs) -> list:
         for r, (i, value) in enumerate(zip(live, defect.tolist())):
             trace = traces[i]
             trace.append(value)
-            if value <= configs[i].tol:
+            if value <= config.tol:
                 reason = "converged"
             elif fixed[r]:
                 reason = "stalled"
-            elif n >= max_iter[i]:
+            elif n == config.resolved_max_iter:
                 reason = "max_iter"
             else:
                 continue
             runs[i] = SearchRun(
-                seed=configs[i].describe_seed(),
+                seed={**config.describe_seed(), "rng_seed": rng_seeds[i]},
                 defect_trace=np.array(trace),
                 iterations_used=n,
                 converged=reason == "converged",
@@ -328,14 +329,13 @@ def _lockstep(configs) -> list:
                 stop_reason=reason,
             )
             stopped.append(r)
+        if len(stopped) == len(live):
+            return runs
         if stopped:
-            if len(stopped) == len(live):
-                return runs
             keep = [r for r in range(len(live)) if r not in stopped]
             live = [live[r] for r in keep]
             x = x[keep]
             past = [p[keep] for p in past]
-        n += 1
 
 
 def multi_seed_search(config: SearchConfig, n_seeds: int, jobs: int | None = None):
@@ -356,19 +356,18 @@ def multi_seed_search(config: SearchConfig, n_seeds: int, jobs: int | None = Non
         raise ValueError(f"jobs must be at least 1, got {jobs}")
     if config.seed_kind == "perturbed-permutation" and config.base_matrix is None:
         config = replace(config, base_matrix=_near_ols_permutation(config.d)[0])
-    configs = [
-        replace(config, rng_seed=config.rng_seed + i) for i in range(n_seeds)
-    ]
+    seeds = range(config.rng_seed, config.rng_seed + n_seeds)
     workers = min(n_seeds, jobs or os.cpu_count() or 1)
     if n_seeds // workers * config.d**4 < THREAD_MIN_SHARE:
         workers = 1
     if workers == 1:
-        runs = _lockstep(configs)
+        runs = _lockstep(config, seeds)
     else:
         cuts = [n_seeds * w // workers for w in range(workers + 1)]
-        batches = [configs[a:b] for a, b in zip(cuts, cuts[1:])]
+        batches = [seeds[a:b] for a, b in zip(cuts, cuts[1:])]
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            runs = [run for batch in pool.map(_lockstep, batches) for run in batch]
+            run_batch = partial(_lockstep, config)
+            runs = [run for batch in pool.map(run_batch, batches) for run in batch]
     n_conv = sum(r.converged for r in runs)
     hist = {}
     for r in runs:

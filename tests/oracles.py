@@ -306,6 +306,36 @@ def smallest_irreducible(p, n):
     raise AssertionError("no irreducible polynomial found; impossible")
 
 
+def mols_by_field_loops(q):
+    """The q - 1 squares of GF(q) cell by cell: a*x + y in cell (x, y).
+
+    Elements are little-endian coefficient tuples over GF(p), labelled
+    sum(c_i * p**i), multiplied modulo the smallest irreducible polynomial
+    of degree n (q = p**n). Square number a takes the nonzero labels
+    a = 1..q-1 in order; int64 cells.
+    """
+    p = next(f for f in range(2, q + 1) if q % f == 0)
+    n = 1
+    while p**n < q:
+        n += 1
+    modulus = smallest_irreducible(p, n)
+
+    def coeffs(label):
+        return tuple(label // p**i % p for i in range(n))
+
+    squares = []
+    for a in range(1, q):
+        sq = np.zeros((q, q), dtype=np.int64)
+        for x in range(q):
+            ax = poly_mod(poly_mul(coeffs(a), coeffs(x), p), modulus, p)
+            ax = ax + (0,) * (n - len(ax))
+            for y in range(q):
+                total = tuple((u + v) % p for u, v in zip(ax, coeffs(y)))
+                sq[x, y] = sum(c * p**i for i, c in enumerate(total))
+        squares.append(sq)
+    return squares
+
+
 def int_is_prime(m):
     if m < 2:
         return False
@@ -391,6 +421,14 @@ def card_encoded_orthogonal_pairs(d):
         if len({(ranks[r, c], suits[r, c]) for r in range(d) for c in range(d)})
         == d * d
     )
+
+
+def oa_rows_by_loops(cells):
+    """The runs (r, c, cells[r, c]) of a square, row by row, as int64."""
+    cells = np.asarray(cells)
+    d = cells.shape[0]
+    runs = [(r, c, int(cells[r, c])) for r in range(d) for c in range(d)]
+    return np.array(runs, dtype=np.int64)
 
 
 def oa_counts_by_loops(rows, levels, k):

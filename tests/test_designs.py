@@ -241,6 +241,17 @@ def test_mols_families_saturate_and_are_pairwise_orthogonal():
             assert oracles.pair_is_orthogonal_by_loops(squares[a], squares[b])
 
 
+def test_mols_equal_the_field_loops_bit_for_bit():
+    # every prime power up to 27: prime fields, GF(2^n) and GF(3^n)
+    for q in (3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25, 27):
+        squares = mols_construct(q)
+        want = oracles.mols_by_field_loops(q)
+        assert len(squares) == len(want) == q - 1
+        for got, sq in zip(squares, want):
+            assert got.dtype == sq.dtype == np.int64
+            assert got.tobytes() == sq.tobytes()
+
+
 def test_mols_order_six_is_impossible():
     with pytest.raises(NotAPrimePowerError) as err:
         mols_construct(6)
@@ -517,6 +528,17 @@ def test_latin_square_yields_strength_two_array():
     assert all(
         set(c.values()) == {1} and len(c) == 9 for c in counts.values()
     )
+
+
+def test_oa_from_latin_equals_the_loop_runs(rng):
+    squares = [cyclic_latin(1), cyclic_latin(4), mols_construct(5)[2]]
+    squares.append(rng.integers(0, 6, (6, 6)))  # any grid, Latin or not
+    for sq in squares:
+        arr = oa_from_latin(sq)
+        want = oracles.oa_rows_by_loops(sq)
+        assert arr.levels == sq.shape[0]
+        assert arr.rows.dtype == want.dtype and arr.rows.shape == want.shape
+        assert arr.rows.tobytes() == want.tobytes()
 
 
 def test_oa_verify_locates_unbalanced_projections():

@@ -228,6 +228,19 @@ def test_subtract_diagonal_is_the_identity_subtraction_bit_for_bit(rng):
             assert got.tobytes() == (g - c * np.eye(shape[-1])).tobytes()
 
 
+def test_gram_defect_of_a_gathered_stack_of_unitaries(rng):
+    # unitaries picked out of a stack by a fancy index can have a Gram
+    # product that is not C-contiguous; the identity must still come off its
+    # diagonal, as it does in any layout
+    q = np.stack([random_unitary(9, rng) for _ in range(6)])
+    picked = q.reshape(2, 3, 81)[:, np.array([0, 1, 2])].reshape(2, 3, 9, 9)
+    assert np.all(gram_defect(picked) <= 1e-13)
+    g = rng.standard_normal((4, 6, 6)).swapaxes(-1, -2).copy(order="K")
+    want = (g - np.eye(6)).tobytes()
+    _subtract_diagonal(g, 1.0)
+    assert g.tobytes() == want
+
+
 def test_subsets_are_built_once_in_lexicographic_order():
     balanced = _subsets(6, 3, with_first=True)
     assert balanced is _subsets(6, 3, with_first=True)

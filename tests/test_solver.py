@@ -97,6 +97,15 @@ def test_search_config_takes_integer_orders_only():
     assert type(config.d) is int and config.d == 3
 
 
+def test_search_config_takes_integer_iteration_caps_only():
+    # a cap of 2.5 used to run 3 iterations and report iterations_used == 3
+    for max_iter in (2.5, 3.0, "3"):
+        with pytest.raises(ValueError, match="max_iter"):
+            SearchConfig(d=3, max_iter=max_iter, tol=1e-300)
+    config = SearchConfig(d=3, max_iter=np.int64(7))
+    assert type(config.max_iter) is int and config.resolved_max_iter == 7
+
+
 def test_max_iter_defaults_scale_with_order():
     assert SearchConfig(d=3).resolved_max_iter == 2000
     assert SearchConfig(d=6).resolved_max_iter == 5000
@@ -319,6 +328,38 @@ def test_multi_seed_search_uses_consecutive_seeds(p9):
     assert [r.seed["rng_seed"] for r in runs] == [7, 8, 9]
     with pytest.raises(ValueError):
         multi_seed_search(SearchConfig(d=3), 0)
+
+
+@pytest.mark.parametrize("seed_kind", solver.SEED_KINDS)
+def test_sweep_runs_describe_their_own_seeds(seed_kind, tmp_path, p9, monkeypatch):
+    path = tmp_path / "seed.json"
+    jsonio.save_json(jsonio.matrix_to_json(p9.astype(complex)), path)
+    config = SearchConfig(
+        d=3, seed_kind=seed_kind, rng_seed=4, max_iter=3, matrix_path=str(path)
+    )
+    # with no share cut-off, jobs=2 splits the sweep into two batches
+    monkeypatch.setattr(solver, "THREAD_MIN_SHARE", 0)
+    for jobs in (1, 2):
+        runs, _ = multi_seed_search(config, 3, jobs=jobs)
+        for i, run in enumerate(runs):
+            want = replace(config, rng_seed=config.rng_seed + i).describe_seed()
+            assert list(run.seed.items()) == list(want.items())
+
+
+def test_sweep_takes_no_step_after_its_last_run_stops(monkeypatch):
+    sizes = []
+
+    def counting_svd(m):
+        sizes.append(len(m))
+        return robust_svd(m)
+
+    monkeypatch.setattr(solver, "robust_svd", counting_svd)
+    runs, _ = multi_seed_search(SearchConfig(d=3, max_iter=2000), 8, jobs=1)
+    last = max(r.iterations_used for r in runs)
+    assert all(r.converged for r in runs) and last < 40
+    # two SVDs per iteration, and none once every run has stopped
+    assert len(sizes) <= 2 * (last + 1)
+    assert 0 not in sizes
 
 
 # ---------------------------------------------------------------------------
