@@ -248,16 +248,11 @@ def gram_defect(m):
 def _subtract_diagonal(g, c) -> None:
     """Subtract c from the diagonal of every matrix of a stack, in place.
 
-    A product of strided operands need not come back C-contiguous. A
-    C-contiguous stack, the usual case, takes its diagonals as a strided
-    slice of one reshape, which costs less per call than einsum; any other
-    layout takes einsum's writable view of them. Neither copies g.
+    A product of strided operands need not come back C-contiguous, so the
+    diagonals are taken as einsum's writable view, which holds for any
+    layout and copies nothing.
     """
-    if g.flags.c_contiguous:
-        k = g.shape[-1]
-        diagonal = g.reshape(-1, k * k)[:, :: k + 1]
-    else:
-        diagonal = np.einsum("...ii->...i", g)
+    diagonal = np.einsum("...ii->...i", g)
     diagonal -= c
 
 

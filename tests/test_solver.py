@@ -321,29 +321,28 @@ def test_multi_seed_search_rejects_worker_counts_below_one(p9):
             multi_seed_search(config, 2, jobs=jobs)
 
 
-def test_multi_seed_search_uses_consecutive_seeds(p9):
+def test_multi_seed_search_uses_consecutive_seeds(p9, tmp_path, monkeypatch):
     runs, _ = multi_seed_search(
         SearchConfig(d=3, rng_seed=7, epsilon=0.1, base_matrix=p9, max_iter=5), 3
     )
     assert [r.seed["rng_seed"] for r in runs] == [7, 8, 9]
     with pytest.raises(ValueError):
         multi_seed_search(SearchConfig(d=3), 0)
-
-
-@pytest.mark.parametrize("seed_kind", solver.SEED_KINDS)
-def test_sweep_runs_describe_their_own_seeds(seed_kind, tmp_path, p9, monkeypatch):
+    # for every seed kind each run describes its own seed, in describe_seed's
+    # key order, whether the sweep is one batch (jobs=1) or two (jobs=2 with
+    # no share cut-off)
     path = tmp_path / "seed.json"
     jsonio.save_json(jsonio.matrix_to_json(p9.astype(complex)), path)
-    config = SearchConfig(
-        d=3, seed_kind=seed_kind, rng_seed=4, max_iter=3, matrix_path=str(path)
-    )
-    # with no share cut-off, jobs=2 splits the sweep into two batches
     monkeypatch.setattr(solver, "THREAD_MIN_SHARE", 0)
-    for jobs in (1, 2):
-        runs, _ = multi_seed_search(config, 3, jobs=jobs)
-        for i, run in enumerate(runs):
-            want = replace(config, rng_seed=config.rng_seed + i).describe_seed()
-            assert list(run.seed.items()) == list(want.items())
+    for seed_kind in solver.SEED_KINDS:
+        config = SearchConfig(
+            d=3, seed_kind=seed_kind, rng_seed=4, max_iter=3, matrix_path=str(path)
+        )
+        for jobs in (1, 2):
+            runs, _ = multi_seed_search(config, 3, jobs=jobs)
+            for i, run in enumerate(runs):
+                want = replace(config, rng_seed=config.rng_seed + i).describe_seed()
+                assert list(run.seed.items()) == list(want.items())
 
 
 def test_sweep_takes_no_step_after_its_last_run_stops(monkeypatch):
