@@ -343,18 +343,11 @@ def state_check(in_path, k, tol):
     help="Thread cap (default: CPU count); small sweeps and 1 run as one batch in the calling thread.",
 )
 @click.option(
-    "--seed-matrix",
-    "seed_matrix_path",
-    type=click.Path(exists=True, dir_okay=False),
-    default=None,
-    help="Matrix JSON used by --seed-kind user-matrix.",
-)
-@click.option(
     "--base-matrix",
     "base_matrix_path",
     type=click.Path(exists=True, dir_okay=False),
     default=None,
-    help="Matrix JSON overriding the built-in perturbed-permutation base.",
+    help="Matrix JSON overriding the built-in perturbed-permutation base; --epsilon 0 starts from it exactly.",
 )
 @click.option("--out", "out_path", type=click.Path(dir_okay=False), default=None,
               help="Write the sweep record as JSON.")
@@ -382,7 +375,6 @@ def search_cmd(
     max_iter,
     tol,
     jobs,
-    seed_matrix_path,
     base_matrix_path,
     out_path,
     best_path,
@@ -407,7 +399,6 @@ def search_cmd(
         max_iter=max_iter,
         tol=tol,
         base_matrix=base,
-        matrix_path=seed_matrix_path,
     )
     runs, summary = multi_seed_search(config, seeds, jobs=jobs)
     click.echo(

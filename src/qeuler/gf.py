@@ -56,14 +56,7 @@ def _poly_mul_mod(a, b, modulus, p):
             continue
         for j, bj in enumerate(b):
             out[i + j] = (out[i + j] + ai * bj) % p
-    deg_m = len(modulus) - 1
-    for top in range(len(out) - 1, deg_m - 1, -1):
-        lead = out[top]
-        if lead:
-            shift = top - deg_m
-            for i, ci in enumerate(modulus):
-                out[shift + i] = (out[shift + i] - lead * ci) % p
-    return tuple(out[:deg_m])
+    return _poly_remainder(out, modulus, p)
 
 
 def _is_irreducible(poly, p):

@@ -257,8 +257,13 @@ def _subtract_diagonal(g, c) -> None:
 
 
 def _frobenius(g, axis):
-    """Frobenius norms over the given axes, reduced as np.linalg.norm does."""
-    return np.sqrt(np.add.reduce((g.conj() * g).real, axis=axis))
+    """Frobenius norms over the given axes, reduced as np.linalg.norm does.
+
+    A product of finite matrices that overflows holds inf and may hold NaN
+    (inf - inf, 0 * inf); the norm of either reads inf, never NaN, so a
+    residual compared with res > tol fails. Finite norms keep their bits.
+    """
+    return np.fmin(np.sqrt(np.add.reduce((g.conj() * g).real, axis=axis)), np.inf)
 
 
 def two_unitarity_defect(m) -> float:

@@ -15,7 +15,7 @@ import math
 import operator
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import lru_cache, partial
 
 import numpy as np
@@ -27,7 +27,6 @@ from .errors import (
     NotAPrimePowerError,
     NumericError,
 )
-from . import jsonio
 from .designs import _card_permutation, _cards, cyclic_latin, mols_construct
 from .linalg import (
     block_dim,
@@ -75,7 +74,7 @@ class GoldenConstants:
 
 GOLDEN = GoldenConstants()
 
-SEED_KINDS = ("random-unitary", "perturbed-permutation", "user-matrix")
+SEED_KINDS = ("random-unitary", "perturbed-permutation")
 
 STOP_REASONS = ("converged", "stalled", "max_iter")
 
@@ -100,7 +99,7 @@ class SearchConfig:
 
     max_iter defaults to 5000 for d >= 6 and 2000 below. base_matrix feeds the
     perturbed-permutation seed (default: the built-in near-orthogonal base for
-    the order at hand); matrix_path feeds the user-matrix seed.
+    the order at hand).
     """
 
     d: int
@@ -110,7 +109,6 @@ class SearchConfig:
     max_iter: int | None = None
     tol: float = 1e-10
     base_matrix: np.ndarray | None = field(default=None, repr=False)
-    matrix_path: str | None = None
 
     def __post_init__(self):
         try:
@@ -143,8 +141,6 @@ class SearchConfig:
         out = {"kind": self.seed_kind, "rng_seed": self.rng_seed, "d": self.d}
         if self.seed_kind == "perturbed-permutation":
             out["epsilon"] = self.epsilon
-        if self.seed_kind == "user-matrix":
-            out["matrix_path"] = self.matrix_path
         return out
 
 
@@ -199,29 +195,18 @@ def seed_matrix(config: SearchConfig, rng=None) -> np.ndarray:
     n = config.d * config.d
     if config.seed_kind == "random-unitary":
         return _haar_unitary(n, rng)
-    if config.seed_kind == "perturbed-permutation":
-        base = config.base_matrix
-        if base is None:
-            base = _near_ols_permutation(config.d)[0]
-        base = np.asarray(base, dtype=complex)
-        if base.shape != (n, n):
-            raise DimensionError(
-                f"base matrix has shape {base.shape}, expected ({n}, {n})"
-            )
-        noise = (
-            rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        ) / math.sqrt(2)
-        return base + config.epsilon * noise
-    if config.seed_kind == "user-matrix":
-        if not config.matrix_path:
-            raise ValueError("user-matrix seeding needs matrix_path")
-        m = jsonio.matrix_from_json(jsonio.load_json(config.matrix_path))
-        if m.shape != (n, n):
-            raise DimensionError(
-                f"user matrix has shape {m.shape}, expected ({n}, {n})"
-            )
-        return m
-    raise ValueError(f"unknown seed kind {config.seed_kind!r}")
+    base = config.base_matrix
+    if base is None:
+        base = _near_ols_permutation(config.d)[0]
+    base = np.asarray(base, dtype=complex)
+    if base.shape != (n, n):
+        raise DimensionError(
+            f"base matrix has shape {base.shape}, expected ({n}, {n})"
+        )
+    noise = (
+        rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    ) / math.sqrt(2)
+    return base + config.epsilon * noise
 
 
 def sinkhorn_step(x) -> np.ndarray:
@@ -354,8 +339,6 @@ def multi_seed_search(config: SearchConfig, n_seeds: int, jobs: int | None = Non
         raise ValueError("need at least one seed")
     if jobs is not None and jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
-    if config.seed_kind == "perturbed-permutation" and config.base_matrix is None:
-        config = replace(config, base_matrix=_near_ols_permutation(config.d)[0])
     seeds = range(config.rng_seed, config.rng_seed + n_seeds)
     workers = min(n_seeds, jobs or os.cpu_count() or 1)
     if n_seeds // workers * config.d**4 < THREAD_MIN_SHARE:

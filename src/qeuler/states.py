@@ -208,18 +208,13 @@ def _uniformity_report(state: PureState, kind, k, subsets, tol, note=""):
     """
     _check_tol(tol)
     dims = state.dims
-    if len(set(dims)) == 1:
-        groups = {dims[0] ** k: subsets}
-    else:
-        groups = {}  # dk -> the subsets whose marginals are dk x dk
-        for keep in subsets:
-            groups.setdefault(math.prod(dims[q] for q in keep), []).append(keep)
-    residuals = {}
+    groups = {}  # dk -> the subsets whose marginals are dk x dk
+    for keep in subsets:
+        groups.setdefault(math.prod(dims[q] for q in keep), []).append(keep)
+    residuals = dict.fromkeys(subsets)  # filled group by group, in subsets order
     for dk, group in groups.items():
         defects = _marginal_defects(state.tensor(), group, 1.0 / dk)
         residuals.update(zip(group, defects.tolist()))
-    if len(groups) > 1:
-        residuals = {keep: residuals[keep] for keep in subsets}
     worst = max(residuals, key=residuals.get)
     return UniformityReport(
         kind=kind,

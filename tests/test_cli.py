@@ -355,11 +355,16 @@ def test_search_user_matrix_seed(runner, tmp_path, p9):
     jsonio.save_json(jsonio.matrix_to_json(p9.astype(complex)), m_path)
     result = invoke(
         runner, "search", "--dim", "3", "--seeds", "1",
-        "--seed-kind", "user-matrix", "--seed-matrix", str(m_path),
+        "--base-matrix", str(m_path), "--epsilon", "0",
     )
     # the seed is already 2-unitary, so the search converges immediately
     assert result.exit_code == 0
     assert "converged after iterations: min 0" in result.output
+    # a user's matrix is a base; there is no seed kind that reads a file
+    result = invoke(
+        runner, "search", "--dim", "3", "--seeds", "1", "--seed-kind", "user-matrix"
+    )
+    assert result.exit_code == 2
 
 
 def test_search_bad_dimension_is_usage_error(runner):

@@ -16,6 +16,7 @@ from qeuler import (
     classical_embed,
     cyclic_latin,
     mols_construct,
+    multi_unitarity_check,
     oa_from_latin,
     oa_verify,
     ols_function_tables,
@@ -344,6 +345,26 @@ def test_square_from_unitary_rows_rejects_non_finite_entries():
         u[4, 2] = bad
         with pytest.raises(NumericError, match="non-finite"):
             square_from_unitary_rows(u)
+
+
+def test_verifiers_fail_a_finite_matrix_whose_gram_product_overflows():
+    # the overflowed products hold NaN as well as inf, and a NaN residual
+    # would pass, since NaN > tol is False
+    m = 1e200 * np.eye(4)
+    with pytest.warns(RuntimeWarning):
+        square = square_from_unitary_rows(m)
+        reports = [
+            qls_verify(square),
+            qols_verify(square),
+            qoa_verify(qoa_from_qols(square)),
+        ]
+        unfoldings = multi_unitarity_check(m.reshape(2, 2, 2, 2), 2, 2)
+        defect = two_unitarity_defect(m)
+    for report in reports:
+        assert not report.passed
+        assert report.max_residual == np.inf
+    assert not unfoldings.passed
+    assert defect == np.inf
 
 
 @pytest.mark.parametrize("d", [2, 3, 6])

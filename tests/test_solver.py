@@ -27,7 +27,6 @@ from qeuler import (
     two_unitarity_defect,
     unitarity_defect,
 )
-from qeuler import jsonio
 from qeuler import solver
 from qeuler.linalg import robust_svd
 from qeuler.solver import THREAD_MIN_SHARE
@@ -139,26 +138,14 @@ def test_epsilon_zero_reproduces_the_base_exactly(p9):
     assert np.array_equal(seed_matrix(config), p9.astype(complex))
 
 
-def test_user_matrix_seed_round_trips(tmp_path, p9):
-    path = tmp_path / "seed.json"
-    jsonio.save_json(jsonio.matrix_to_json(p9.astype(complex)), path)
-    config = SearchConfig(d=3, seed_kind="user-matrix", matrix_path=str(path))
-    assert np.allclose(seed_matrix(config), p9, atol=0)
-
-
-def test_user_matrix_seed_failure_modes(tmp_path, p9):
-    with pytest.raises(ValueError):
-        seed_matrix(SearchConfig(d=3, seed_kind="user-matrix"))
-    with pytest.raises(OSError):
-        seed_matrix(
-            SearchConfig(
-                d=3, seed_kind="user-matrix", matrix_path=str(tmp_path / "no.json")
-            )
+def test_every_seed_kind_draws_from_its_generator():
+    # a kind that ignored its generator would run one search per sweep n times
+    for seed_kind in solver.SEED_KINDS:
+        first, second = (
+            seed_matrix(SearchConfig(d=3, seed_kind=seed_kind, rng_seed=r))
+            for r in (0, 1)
         )
-    path = tmp_path / "small.json"
-    jsonio.save_json(jsonio.matrix_to_json(np.eye(4, dtype=complex)), path)
-    with pytest.raises(DimensionError):
-        seed_matrix(SearchConfig(d=3, seed_kind="user-matrix", matrix_path=str(path)))
+        assert not np.array_equal(first, second)
 
 
 def test_base_matrix_shape_is_checked(p9):
@@ -321,7 +308,7 @@ def test_multi_seed_search_rejects_worker_counts_below_one(p9):
             multi_seed_search(config, 2, jobs=jobs)
 
 
-def test_multi_seed_search_uses_consecutive_seeds(p9, tmp_path, monkeypatch):
+def test_multi_seed_search_uses_consecutive_seeds(p9, monkeypatch):
     runs, _ = multi_seed_search(
         SearchConfig(d=3, rng_seed=7, epsilon=0.1, base_matrix=p9, max_iter=5), 3
     )
@@ -331,13 +318,9 @@ def test_multi_seed_search_uses_consecutive_seeds(p9, tmp_path, monkeypatch):
     # for every seed kind each run describes its own seed, in describe_seed's
     # key order, whether the sweep is one batch (jobs=1) or two (jobs=2 with
     # no share cut-off)
-    path = tmp_path / "seed.json"
-    jsonio.save_json(jsonio.matrix_to_json(p9.astype(complex)), path)
     monkeypatch.setattr(solver, "THREAD_MIN_SHARE", 0)
     for seed_kind in solver.SEED_KINDS:
-        config = SearchConfig(
-            d=3, seed_kind=seed_kind, rng_seed=4, max_iter=3, matrix_path=str(path)
-        )
+        config = SearchConfig(d=3, seed_kind=seed_kind, rng_seed=4, max_iter=3)
         for jobs in (1, 2):
             runs, _ = multi_seed_search(config, 3, jobs=jobs)
             for i, run in enumerate(runs):
