@@ -333,7 +333,13 @@ def state_check(in_path, k, tol):
     envvar="QEULER_RNG_SEED",
     help="Base seed; run i uses rng-seed + i. Env: QEULER_RNG_SEED.",
 )
-@click.option("--epsilon", type=float, default=0.1, show_default=True)
+@click.option(
+    "--epsilon",
+    type=float,
+    default=0.1,
+    show_default=True,
+    help="Noise scale; applies to perturbed-permutation seeds only.",
+)
 @click.option("--max-iter", type=int, default=None, help="Default 5000 for dim >= 6, else 2000.")
 @click.option("--tol", type=float, default=1e-10, show_default=True)
 @click.option(
@@ -347,7 +353,7 @@ def state_check(in_path, k, tol):
     "base_matrix_path",
     type=click.Path(exists=True, dir_okay=False),
     default=None,
-    help="Matrix JSON overriding the built-in perturbed-permutation base; --epsilon 0 starts from it exactly.",
+    help="Matrix JSON overriding the built-in perturbed-permutation base; --epsilon 0 starts from it exactly. Not for random-unitary seeds.",
 )
 @click.option("--out", "out_path", type=click.Path(dir_okay=False), default=None,
               help="Write the sweep record as JSON.")

@@ -242,32 +242,19 @@ def cyclic_latin(d: int) -> np.ndarray:
     return (i[:, None] + i[None, :]) % d
 
 
-def _line_violations(lines, axis_name):
-    """Every (line, symbol) that does not occur exactly once in its line.
-
-    Row i of lines is line i, its symbols in [0, d). Violations come line by
-    line, then symbol by symbol.
-    """
-    d = lines.shape[0]
-    counts = np.zeros((d, d), dtype=np.int64)  # [line, symbol]
-    np.add.at(counts, (np.arange(d)[:, None], lines), 1)
-    return [
-        Violation(axis_name, (int(i), int(sym)), float(abs(counts[i, sym] - 1)))
-        for i, sym in np.argwhere(counts != 1)
-    ]
-
-
 def verify_latin(cells) -> DesignReport:
-    """Check that each symbol occurs exactly once per row and per column."""
-    arr = _as_cells(cells)
-    d = arr.shape[0]
-    violations = []
-    bad_range = np.argwhere((arr < 0) | (arr >= d))
-    for r, c in bad_range:
-        violations.append(Violation("symbol-range", (int(r), int(c)), 0.0))
-    if not len(bad_range):
-        violations += _line_violations(arr, "row")
-        violations += _line_violations(arr.T, "column")
+    """Check that each symbol occurs exactly once per row and per column.
+
+    That is, the runs (row, column, symbol) balance on (row, symbol), then
+    on (column, symbol); (row, column) is balanced by construction.
+    """
+    a = oa_from_latin(cells)
+    symbols = a.rows[:, 2]
+    bad_range = a.rows[(symbols < 0) | (symbols >= a.levels), :2].tolist()
+    violations = [Violation("symbol-range", tuple(rc), 0.0) for rc in bad_range]
+    if not violations:
+        lines = {(0, 2): ("row", ()), (1, 2): ("column", ())}
+        violations = _balance_violations(a.rows, a.levels, 1, lines)
     return _report("ls", 0.0, violations)
 
 
@@ -298,12 +285,23 @@ def mols_construct(q: int) -> list:
     return [add[mul[a]] for a in range(1, q)]
 
 
+_PAIR_CONDITIONS = {
+    (0, 2): ("C2", ("ranks",)),
+    (1, 2): ("C3", ("ranks",)),
+    (0, 3): ("C2", ("suits",)),
+    (1, 3): ("C3", ("suits",)),
+    (2, 3): ("C1", ()),
+}
+
+
 def verify_orthogonal_pair(pair: OrthogonalLatinPair) -> DesignReport:
     """Check the three Graeco-Latin conditions on a pair of squares.
 
     C1: every (rank, suit) pair occurs exactly once over the grid.
     C2: within each row, ranks are all distinct and suits are all distinct.
     C3: the same within each column.
+    Together they balance the runs (row, column, rank, suit); violations list
+    the ranks' lines, then the suits', rows before columns, then C1.
     """
     d = pair.d
     violations = []
@@ -315,20 +313,8 @@ def verify_orthogonal_pair(pair: OrthogonalLatinPair) -> DesignReport:
             )
     if violations:
         return _report("ols", 0.0, violations)
-
-    for name, arr in (("ranks", pair.ranks), ("suits", pair.suits)):
-        for v in _line_violations(arr, "row"):
-            violations.append(Violation("C2", (name,) + v.where, v.residual))
-        for v in _line_violations(arr.T, "column"):
-            violations.append(Violation("C3", (name,) + v.where, v.residual))
-
-    counts = np.zeros((d, d), dtype=np.int64)
-    np.add.at(counts, (pair.ranks.ravel(), pair.suits.ravel()), 1)
-    for v, s in np.argwhere(counts != 1):
-        violations.append(
-            Violation("C1", (int(v), int(s)), float(abs(counts[v, s] - 1)))
-        )
-    return _report("ols", 0.0, violations)
+    runs = np.column_stack([oa_from_latin(pair.ranks).rows, pair.suits.ravel()])
+    return _report("ols", 0.0, _balance_violations(runs, d, 1, _PAIR_CONDITIONS))
 
 
 def ols_function_tables(pair: OrthogonalLatinPair) -> FunctionTables:
@@ -514,6 +500,30 @@ def qols_verify(square: QuantumSquare, tol: float = 1e-10) -> DesignReport:
 # orthogonal arrays
 
 
+def _balance_violations(rows, levels, lam, projections) -> list:
+    """Violation(condition, prefix + key, |n - lam|) per key seen n != lam times.
+
+    rows holds symbols in [0, levels); projections maps tuples of k columns
+    to (condition, prefix), in the order violations come; keys come in
+    itertools.product order. One bincount counts every projection: a run's
+    key in projection j is its symbols there read in base levels, plus
+    j * levels**k.
+    """
+    subsets = list(projections)
+    n, k = len(subsets), len(subsets[0])
+    keys = rows[:, subsets] @ (levels ** np.arange(k - 1, -1, -1))
+    keys += levels**k * np.arange(n)
+    counts = np.bincount(keys.ravel(), minlength=n * levels**k)
+    counts = counts.reshape((n,) + (levels,) * k)
+    off = counts != lam
+    residuals = np.abs(counts[off] - lam).tolist()
+    labels = list(projections.values())
+    return [
+        Violation(labels[j][0], labels[j][1] + tuple(key), float(res))
+        for (j, *key), res in zip(np.argwhere(off).tolist(), residuals)
+    ]
+
+
 def oa_from_latin(cells) -> OrthogonalArray:
     """The runs (r, c, symbol) of a Latin square as a strength-2 array."""
     arr = _as_cells(cells)
@@ -526,29 +536,17 @@ def oa_verify(a: OrthogonalArray) -> DesignReport:
     rows = a.rows
     r, n_cols = rows.shape
     k = a.strength
-    violations = []
     if not 1 <= k <= n_cols:
         raise DimensionError(f"strength {k} incompatible with {n_cols} columns")
     if ((rows < 0) | (rows >= a.levels)).any():
         where = tuple(int(x) for x in np.argwhere((rows < 0) | (rows >= a.levels))[0])
-        violations.append(Violation("symbol-range", where, 0.0))
-        return _report("oa", 0.0, violations)
+        return _report("oa", 0.0, [Violation("symbol-range", where, 0.0)])
     lam, rem = divmod(r, a.levels**k)
     if rem != 0 or lam < 1:
-        violations.append(Violation("divisibility", (r, a.levels**k), 0.0))
-        return _report("oa", 0.0, violations)
-    for subset in itertools.combinations(range(n_cols), k):
-        counts = {}
-        for row in rows:
-            key = tuple(int(row[c]) for c in subset)
-            counts[key] = counts.get(key, 0) + 1
-        for key in itertools.product(range(a.levels), repeat=k):
-            got = counts.get(key, 0)
-            if got != lam:
-                violations.append(
-                    Violation("balance", subset + key, float(abs(got - lam)))
-                )
-    return _report("oa", 0.0, violations)
+        return _report("oa", 0.0, [Violation("divisibility", (r, a.levels**k), 0.0)])
+    subsets = itertools.combinations(range(n_cols), k)
+    projections = {subset: ("balance", subset) for subset in subsets}
+    return _report("oa", 0.0, _balance_violations(rows, a.levels, lam, projections))
 
 
 def qoa_from_qols(square: QuantumSquare) -> QuantumOrthogonalArray:

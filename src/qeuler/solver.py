@@ -93,13 +93,22 @@ STALL_RTOL = 1e-10
 THREAD_MIN_SHARE = 256
 
 
+def _integer(name, value) -> int:
+    """value as an int; numpy integers pass, and anything else is a ValueError."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an int, got {value!r}") from None
+
+
 @dataclass(frozen=True)
 class SearchConfig:
     """Parameters of one seeded search.
 
-    max_iter defaults to 5000 for d >= 6 and 2000 below. base_matrix feeds the
-    perturbed-permutation seed (default: the built-in near-orthogonal base for
-    the order at hand).
+    max_iter defaults to 5000 for d >= 6 and 2000 below. base_matrix and
+    epsilon feed the perturbed-permutation seed only (the default base is
+    the built-in near-orthogonal one for the order at hand), so a
+    random-unitary config given a base_matrix is a ValueError.
     """
 
     d: int
@@ -119,15 +128,18 @@ class SearchConfig:
             raise DimensionError(f"search needs d >= 2, got {self.d}")
         if self.seed_kind not in SEED_KINDS:
             raise ValueError(f"unknown seed kind {self.seed_kind!r}; use {SEED_KINDS}")
+        if self.seed_kind == "random-unitary" and self.base_matrix is not None:
+            raise ValueError(
+                "a random-unitary seed takes no base matrix; "
+                "only perturbed-permutation seeds start from one"
+            )
+        object.__setattr__(self, "rng_seed", _integer("rng_seed", self.rng_seed))
         if not (math.isfinite(self.epsilon) and self.epsilon >= 0):
             raise ValueError(f"epsilon must be a finite number >= 0, got {self.epsilon!r}")
         if not (math.isfinite(self.tol) and self.tol > 0):
             raise ValueError(f"tol must be a finite number > 0, got {self.tol!r}")
         if self.max_iter is not None:
-            try:
-                object.__setattr__(self, "max_iter", operator.index(self.max_iter))
-            except TypeError:
-                raise ValueError(f"max_iter must be an int, got {self.max_iter!r}") from None
+            object.__setattr__(self, "max_iter", _integer("max_iter", self.max_iter))
             if self.max_iter < 0:
                 raise ValueError("max_iter must be nonnegative")
 
@@ -333,12 +345,16 @@ def multi_seed_search(config: SearchConfig, n_seeds: int, jobs: int | None = Non
     seeds times n*n would be below THREAD_MIN_SHARE: then, as with jobs=1,
     the whole sweep is one batch in the calling thread. A run's result does
     not depend on its batch, so the sweep is the same bit for bit whatever
-    jobs says, and each run equals search() of its own config.
+    jobs says, and each run equals search() of its own config. n_seeds and
+    jobs must be integers (numpy integers become int).
     """
+    n_seeds = _integer("n_seeds", n_seeds)
     if n_seeds < 1:
         raise ValueError("need at least one seed")
-    if jobs is not None and jobs < 1:
-        raise ValueError(f"jobs must be at least 1, got {jobs}")
+    if jobs is not None:
+        jobs = _integer("jobs", jobs)
+        if jobs < 1:
+            raise ValueError(f"jobs must be at least 1, got {jobs}")
     seeds = range(config.rng_seed, config.rng_seed + n_seeds)
     workers = min(n_seeds, jobs or os.cpu_count() or 1)
     if n_seeds // workers * config.d**4 < THREAD_MIN_SHARE:

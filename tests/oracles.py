@@ -431,6 +431,90 @@ def oa_rows_by_loops(cells):
     return np.array(runs, dtype=np.int64)
 
 
+# The classical verifiers as they counted before they became one balance
+# count. Each returns the fields of its DesignReport: (kind, passed, tol,
+# max_residual, [(condition, where, residual), ...], family_residuals).
+
+
+def _combinatorial_report(kind, violations):
+    max_residual = max([0.0] + [res for _, _, res in violations])
+    return (kind, not violations, 0.0, float(max_residual), violations, {})
+
+
+def _line_violations_by_counts(lines, axis_name):
+    """Every (line, symbol) not seen exactly once in its line, line by line."""
+    d = len(lines)
+    counts = np.zeros((d, d), dtype=np.int64)  # [line, symbol]
+    for i in range(d):
+        for sym in lines[i]:
+            counts[i, sym] += 1
+    return [
+        (axis_name, (i, sym), float(abs(counts[i, sym] - 1)))
+        for i in range(d)
+        for sym in range(d)
+        if counts[i, sym] != 1
+    ]
+
+
+def _out_of_range_cells(cells):
+    d = len(cells)
+    return [(r, c) for r in range(d) for c in range(d) if not 0 <= cells[r, c] < d]
+
+
+def verify_latin_by_counts(cells):
+    cells = np.asarray(cells)
+    violations = [("symbol-range", rc, 0.0) for rc in _out_of_range_cells(cells)]
+    if not violations:
+        violations += _line_violations_by_counts(cells, "row")
+        violations += _line_violations_by_counts(cells.T, "column")
+    return _combinatorial_report("ls", violations)
+
+
+def verify_orthogonal_pair_by_counts(ranks, suits):
+    ranks, suits = np.asarray(ranks), np.asarray(suits)
+    d = len(ranks)
+    violations = [
+        ("symbol-range", (name,) + rc, 0.0)
+        for name, arr in (("ranks", ranks), ("suits", suits))
+        for rc in _out_of_range_cells(arr)
+    ]
+    if violations:
+        return _combinatorial_report("ols", violations)
+    for name, arr in (("ranks", ranks), ("suits", suits)):
+        for _, where, res in _line_violations_by_counts(arr, "row"):
+            violations.append(("C2", (name,) + where, res))
+        for _, where, res in _line_violations_by_counts(arr.T, "column"):
+            violations.append(("C3", (name,) + where, res))
+    counts = np.zeros((d, d), dtype=np.int64)
+    for v, s in zip(ranks.flat, suits.flat):
+        counts[v, s] += 1
+    for v in range(d):
+        for s in range(d):
+            if counts[v, s] != 1:
+                violations.append(("C1", (v, s), float(abs(counts[v, s] - 1))))
+    return _combinatorial_report("ols", violations)
+
+
+def oa_verify_by_loops(rows, levels, k):
+    """Fields of oa_verify's report; 1 <= k <= the number of columns."""
+    rows = np.asarray(rows)
+    r, n_cols = rows.shape
+    for t in range(r):
+        for c in range(n_cols):
+            if not 0 <= rows[t, c] < levels:
+                return _combinatorial_report("oa", [("symbol-range", (t, c), 0.0)])
+    lam, rem = divmod(r, levels**k)
+    if rem != 0 or lam < 1:
+        return _combinatorial_report("oa", [("divisibility", (r, levels**k), 0.0)])
+    violations = []
+    for subset, counts in oa_counts_by_loops(rows, levels, k).items():
+        for key in itertools.product(range(levels), repeat=k):
+            got = counts.get(key, 0)
+            if got != lam:
+                violations.append(("balance", subset + key, float(abs(got - lam))))
+    return _combinatorial_report("oa", violations)
+
+
 def oa_counts_by_loops(rows, levels, k):
     """Tuple counts for every k-column projection of a symbol array."""
     rows = np.asarray(rows)

@@ -1,3 +1,4 @@
+import itertools
 import json
 
 import numpy as np
@@ -8,6 +9,7 @@ from qeuler import (
     cyclic_latin,
     jsonio,
     oa_from_latin,
+    qoa_from_qols,
     square_from_unitary_rows,
     state_from_two_unitary,
     two_unitarity_defect,
@@ -78,6 +80,22 @@ def test_gen_digit_rendering(runner):
     assert "00 11 22" in result.output
 
 
+def test_gen_renders_latin_squares_and_families(runner):
+    result = invoke(
+        runner, "design", "gen", "--kind", "ls", "--order", "3", "--render", "digits"
+    )
+    assert result.exit_code == 0
+    assert result.output.endswith("0 1 2\n1 2 0\n2 0 1\n")
+    result = invoke(
+        runner, "design", "gen", "--kind", "mols", "--order", "3", "--render", "cards"
+    )
+    assert result.exit_code == 0
+    # square a holds a*x + y in cell (x, y)
+    assert result.output.endswith(
+        "square 1:\n0 1 2\n1 2 0\n2 0 1\nsquare 2:\n0 1 2\n2 0 1\n1 2 0\n"
+    )
+
+
 def test_no_rendering_without_the_flag(runner):
     result = invoke(runner, "design", "gen", "--kind", "ols", "--order", "3")
     assert "♠" not in result.output
@@ -118,6 +136,36 @@ def test_verify_non_finite_quantum_square_is_a_math_failure(runner, tmp_path):
     assert "failed:" in result.output
     assert "non-finite" in result.output
     assert "PASS" not in result.output
+
+
+@pytest.mark.parametrize("kind", ["qls", "qols", "qoa"])
+def test_verify_quantum_designs_list_their_family_residuals(runner, tmp_path, p9, kind):
+    families = {
+        "qls": ["columns", "rows"],
+        "qols": [
+            "Q1", "Q1-completeness", "Q2-rows-trA", "Q2-rows-trB",
+            "Q3-cols-trA", "Q3-cols-trB",
+        ],
+        "qoa": [f"keep{keep}" for keep in itertools.combinations(range(4), 2)],
+    }[kind]
+    # the rows of any unitary make a quantum Latin square, so the qls file
+    # that fails is made from a unitary scaled by 2
+    rng = np.random.default_rng(11)
+    g = rng.standard_normal((9, 9)) + 1j * rng.standard_normal((9, 9))
+    haar = np.linalg.qr(g)[0]
+    failing = 2 * haar if kind == "qls" else haar
+    for u, code in ((p9, 0), (failing, 1)):
+        square = square_from_unitary_rows(u)
+        obj = qoa_from_qols(square) if kind == "qoa" else square
+        path = tmp_path / f"{kind}.json"
+        jsonio.save_json(jsonio.design_to_json(kind, obj), path)
+        result = invoke(runner, "design", "verify", "--in", str(path))
+        assert result.exit_code == code
+        lines = result.output.splitlines()
+        assert lines[0].startswith(f"{kind}: {'FAIL' if code else 'PASS'} (tol 1e-10, ")
+        assert [line.split(":")[0].strip() for line in lines[1 : 1 + len(families)]] == families
+        violations = [line for line in lines if line.startswith("  violation ")]
+        assert bool(violations) == bool(code)
 
 
 @pytest.mark.parametrize("tol", ["nan", "inf", "-1e-3"])
@@ -365,6 +413,21 @@ def test_search_user_matrix_seed(runner, tmp_path, p9):
         runner, "search", "--dim", "3", "--seeds", "1", "--seed-kind", "user-matrix"
     )
     assert result.exit_code == 2
+
+
+def test_search_random_unitary_with_a_base_is_usage_error(runner, tmp_path, p9):
+    # the Haar draw used to ignore the file, run and exit 0, even for a base
+    # of the wrong order, which the default kind rejects with exit 2
+    for base in (p9, np.eye(25)):
+        m_path = tmp_path / "m.json"
+        jsonio.save_json(jsonio.matrix_to_json(base.astype(complex)), m_path)
+        result = invoke(
+            runner, "search", "--dim", "3", "--seed-kind", "random-unitary",
+            "--base-matrix", str(m_path), "--epsilon", "0",
+        )
+        assert result.exit_code == 2
+        assert "error: a random-unitary seed takes no base matrix" in result.output
+        assert "converged" not in result.output
 
 
 def test_search_bad_dimension_is_usage_error(runner):

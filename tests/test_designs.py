@@ -139,6 +139,20 @@ def test_non_latin_component_reports_line_conditions():
     assert "C1" in conditions
 
 
+def test_pair_reports_every_out_of_range_symbol_and_nothing_else():
+    ranks, suits = cyclic_latin(3), cyclic_latin(3).T.copy()
+    ranks[1, 2] = 3
+    suits[0, 0] = -1
+    suits[2, 1] = 7
+    report = verify_orthogonal_pair(OrthogonalLatinPair(ranks=ranks, suits=suits))
+    assert not report.passed and report.max_residual == 0.0
+    assert [(v.condition, v.where, v.residual) for v in report.violations] == [
+        ("symbol-range", ("ranks", 1, 2), 0.0),
+        ("symbol-range", ("suits", 0, 0), 0.0),
+        ("symbol-range", ("suits", 2, 1), 0.0),
+    ]
+
+
 def test_pair_shape_mismatch_is_rejected():
     with pytest.raises(DimensionError):
         OrthogonalLatinPair(ranks=cyclic_latin(3), suits=cyclic_latin(4))
@@ -536,6 +550,76 @@ def test_no_order_two_quantum_pair_from_permutations():
 
 # ---------------------------------------------------------------------------
 # orthogonal arrays
+
+
+def _report_fields(report):
+    # repr of these fields also tells a numpy scalar from a Python number
+    violations = [(v.condition, v.where, v.residual) for v in report.violations]
+    return repr(
+        (report.kind, report.passed, report.tol, report.max_residual, violations,
+         report.family_residuals)
+    )
+
+
+def test_classical_verifiers_equal_the_counting_references(rng):
+    # every report, violation order included, equals the one the separate
+    # line, pair and per-subset counts gave before they became one count
+    for d in range(1, 8):
+        latin = cyclic_latin(d)[rng.permutation(d)][:, rng.permutation(d)]
+        grids = [cyclic_latin(d), rng.permutation(d)[latin]]
+        grids += [rng.integers(0, d, (d, d)) for _ in range(3)]
+        grids += [rng.integers(-1, d + 2, (d, d)) for _ in range(2)]
+        for cells in grids:
+            want = oracles.verify_latin_by_counts(cells)
+            assert _report_fields(verify_latin(cells)) == repr(want)
+        for ranks, suits in itertools.product(grids, repeat=2):
+            want = oracles.verify_orthogonal_pair_by_counts(ranks, suits)
+            got = verify_orthogonal_pair(OrthogonalLatinPair(ranks=ranks, suits=suits))
+            assert _report_fields(got) == repr(want)
+    for q in (3, 4, 5, 7):
+        squares = mols_construct(q)
+        squares += [rng.integers(0, q, (q, q)), cyclic_latin(q)]
+        for ranks, suits in itertools.product(squares, repeat=2):
+            want = oracles.verify_orthogonal_pair_by_counts(ranks, suits)
+            got = verify_orthogonal_pair(OrthogonalLatinPair(ranks=ranks, suits=suits))
+            assert _report_fields(got) == repr(want)
+
+
+def _strength_three_array(s):
+    # the runs (a, b, c, a + b + c mod s): an OA(s**3, 4, s, 3) of index 1
+    abc = np.array(list(itertools.product(range(s), repeat=3)))
+    return np.column_stack([abc, abc.sum(axis=1) % s])
+
+
+def test_oa_verify_equals_the_per_subset_loop_counts(rng):
+    arrays = []  # (rows, levels, strength)
+    for s in (2, 3, 4):
+        perms = np.column_stack([rng.permutation(s) for _ in range(3)])
+        latin = oa_from_latin(cyclic_latin(s)).rows
+        designs = [(perms, 1), (latin, 2), (_strength_three_array(s), 3)]
+        if s > 2:
+            sq = mols_construct(s)
+            pair = np.column_stack([oa_from_latin(sq[0]).rows, sq[1].ravel()])
+            designs.append((pair, 2))
+        for rows, k in designs:
+            twice = np.concatenate([rows, rows[rng.permutation(len(rows))]])
+            broken = rows.copy()
+            broken[0, -1] = (broken[0, -1] + 1) % s
+            out_of_range = rows.copy()
+            out_of_range[-1, 0] = s
+            arrays += [
+                (rows, s, k),  # index 1
+                (twice, s, k),  # index 2
+                (broken, s, k),
+                (rows[:-1], s, k),  # runs not a multiple of s**k
+                (out_of_range, s, k),
+                (rng.integers(0, s, rows.shape), s, k),
+                (rng.integers(0, s, twice.shape), s, k),
+                (rows, s, 1),
+            ]
+    for rows, levels, k in arrays:
+        got = oa_verify(OrthogonalArray(levels=levels, strength=k, rows=rows))
+        assert _report_fields(got) == repr(oracles.oa_verify_by_loops(rows, levels, k))
 
 
 def test_latin_square_yields_strength_two_array():

@@ -1,3 +1,4 @@
+import json
 import math
 from dataclasses import replace
 
@@ -27,7 +28,7 @@ from qeuler import (
     two_unitarity_defect,
     unitarity_defect,
 )
-from qeuler import solver
+from qeuler import jsonio, solver
 from qeuler.linalg import robust_svd
 from qeuler.solver import THREAD_MIN_SHARE
 
@@ -103,6 +104,12 @@ def test_search_config_takes_integer_iteration_caps_only():
             SearchConfig(d=3, max_iter=max_iter, tol=1e-300)
     config = SearchConfig(d=3, max_iter=np.int64(7))
     assert type(config.max_iter) is int and config.resolved_max_iter == 7
+    # so does the seed of a sweep: a numpy one used to reach the JSON record
+    for rng_seed in (2.0, 2.5, "2", None):
+        with pytest.raises(ValueError, match="rng_seed"):
+            SearchConfig(d=3, rng_seed=rng_seed)
+    config = SearchConfig(d=3, rng_seed=np.int64(2))
+    assert type(config.rng_seed) is int and config.rng_seed == 2
 
 
 def test_max_iter_defaults_scale_with_order():
@@ -151,6 +158,23 @@ def test_every_seed_kind_draws_from_its_generator():
 def test_base_matrix_shape_is_checked(p9):
     with pytest.raises(DimensionError):
         seed_matrix(SearchConfig(d=2, base_matrix=p9))
+
+
+def test_random_unitary_seed_takes_no_base(p9):
+    # the Haar draw used to ignore the base, unchecked even for its shape
+    for base in (p9, np.eye(25)):
+        with pytest.raises(ValueError, match="random-unitary seed takes no base"):
+            SearchConfig(d=3, seed_kind="random-unitary", base_matrix=base, epsilon=0.0)
+
+
+def test_search_rejects_a_non_finite_seed(p9):
+    base = p9.astype(complex)
+    base[4, 2] = np.nan
+    config = SearchConfig(d=3, epsilon=0.0, base_matrix=base)
+    with pytest.raises(NumericError, match="non-finite"):
+        search(config)
+    with pytest.raises(NumericError, match="non-finite"):
+        multi_seed_search(config, 2, jobs=1)
 
 
 # ---------------------------------------------------------------------------
@@ -306,6 +330,16 @@ def test_multi_seed_search_rejects_worker_counts_below_one(p9):
     for jobs in (0, -2):
         with pytest.raises(ValueError):
             multi_seed_search(config, 2, jobs=jobs)
+    # seed and worker counts are integers: these used to fail inside range()
+    for n_seeds, jobs in ((2.0, None), (2, 1.5), ("2", None), (2, "1")):
+        with pytest.raises(ValueError, match="n_seeds" if jobs is None else "jobs"):
+            multi_seed_search(config, n_seeds, jobs=jobs)
+    # numpy integers become int, so the sweep's record serialises
+    config = replace(config, rng_seed=np.int64(3))
+    runs, summary = multi_seed_search(config, np.int64(2), jobs=np.int64(1))
+    assert type(summary.n_runs) is int and summary.n_runs == 2
+    assert [r.seed["rng_seed"] for r in runs] == [3, 4]
+    json.dumps(jsonio.search_result_to_json(config, runs, summary))
 
 
 def test_multi_seed_search_uses_consecutive_seeds(p9, monkeypatch):
