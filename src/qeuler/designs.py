@@ -10,6 +10,7 @@ encoding of a pair is the order-d*d matrix with a single 1 at
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -107,16 +108,23 @@ def _report(kind, tol, violations, families=None):
 # data types
 
 
+def _integer_symbols(arr):
+    """arr as int64: integers and whole-valued finite floats, nothing else."""
+    if arr.dtype.kind in "iu":
+        return arr.astype(np.int64)
+    if arr.dtype.kind == "f":
+        with np.errstate(invalid="ignore"):  # NaN and out-of-range cast
+            ints = arr.astype(np.int64)
+        if np.array_equal(ints, arr):
+            return ints
+    raise InvalidDesignError("symbols must be integers")
+
+
 def _as_cells(cells):
     arr = np.asarray(cells)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] < 1:
         raise DimensionError(f"a square symbol grid is required, got shape {arr.shape}")
-    if arr.dtype.kind not in "iu":
-        if arr.dtype.kind == "f" and np.all(arr == np.round(arr)):
-            arr = arr.astype(np.int64)
-        else:
-            raise InvalidDesignError("cells must hold integers")
-    return arr.astype(np.int64)
+    return _integer_symbols(arr)
 
 
 @dataclass(frozen=True)
@@ -179,17 +187,28 @@ class QuantumSquare:
 
 @dataclass(frozen=True)
 class OrthogonalArray:
-    """Classical orthogonal array: rows of symbols, one column per factor."""
+    """Classical orthogonal array: rows of symbols, one column per factor.
+
+    levels and strength are ints, and the symbols integers (whole-valued
+    floats pass); anything else is an InvalidDesignError.
+    """
 
     levels: int
     strength: int
     rows: np.ndarray
 
     def __post_init__(self):
+        for name in ("levels", "strength"):
+            try:
+                object.__setattr__(self, name, operator.index(getattr(self, name)))
+            except TypeError:
+                raise InvalidDesignError(
+                    f"{name} must be an int, got {getattr(self, name)!r}"
+                ) from None
         arr = np.asarray(self.rows)
         if arr.ndim != 2:
             raise DimensionError(f"rows must be a 2-D symbol table, got {arr.shape}")
-        object.__setattr__(self, "rows", arr.astype(np.int64))
+        object.__setattr__(self, "rows", _integer_symbols(arr))
 
 
 @dataclass(frozen=True)

@@ -20,14 +20,8 @@ from functools import lru_cache, partial
 
 import numpy as np
 
-from .errors import (
-    CapabilityError,
-    DimensionError,
-    InvalidDesignError,
-    NotAPrimePowerError,
-    NumericError,
-)
-from .designs import _card_permutation, _cards, cyclic_latin, mols_construct
+from .errors import CapabilityError, DimensionError, NumericError
+from .designs import _card_permutation, _cards, mols_construct
 from .linalg import (
     block_dim,
     gram_defect,
@@ -93,12 +87,12 @@ STALL_RTOL = 1e-10
 THREAD_MIN_SHARE = 256
 
 
-def _integer(name, value) -> int:
-    """value as an int; numpy integers pass, and anything else is a ValueError."""
+def _integer(name, value, error=ValueError) -> int:
+    """value as an int; numpy integers pass, and anything else raises error."""
     try:
         return operator.index(value)
     except TypeError:
-        raise ValueError(f"{name} must be an int, got {value!r}") from None
+        raise error(f"{name} must be an int, got {value!r}") from None
 
 
 @dataclass(frozen=True)
@@ -120,10 +114,7 @@ class SearchConfig:
     base_matrix: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self):
-        try:
-            object.__setattr__(self, "d", operator.index(self.d))
-        except TypeError:
-            raise DimensionError(f"search needs an integer d, got {self.d!r}") from None
+        object.__setattr__(self, "d", _integer("d", self.d, DimensionError))
         if self.d < 2:
             raise DimensionError(f"search needs d >= 2, got {self.d}")
         if self.seed_kind not in SEED_KINDS:
@@ -386,153 +377,84 @@ def multi_seed_search(config: SearchConfig, n_seeds: int, jobs: int | None = Non
 # seeds: near-orthogonal base permutations
 
 
-def _random_latin(d, rng):
-    sq = cyclic_latin(d)
-    sq = sq[rng.permutation(d), :][:, rng.permutation(d)]
-    return rng.permutation(d)[sq]
+# The order-6 pair of the base. No orthogonal pair of order 6 exists, and
+# these squares hold 34 distinct (rank, suit) pairs, the most two Latin
+# squares of order 6 can hold: the best near miss to Euler's 36 officers
+# (as quoted by Rather et al., Phys. Rev. Lett. 128, 080507, 2022).
+_ORDER_SIX_PAIR = (
+    [[5, 4, 1, 2, 3, 0], [0, 3, 5, 4, 2, 1], [3, 0, 4, 5, 1, 2],
+     [4, 5, 2, 1, 0, 3], [2, 1, 0, 3, 4, 5], [1, 2, 3, 0, 5, 4]],
+    [[0, 2, 1, 5, 3, 4], [1, 5, 2, 4, 0, 3], [4, 0, 3, 1, 5, 2],
+     [5, 3, 4, 0, 2, 1], [3, 4, 0, 2, 1, 5], [2, 1, 5, 3, 4, 0]],
+)
+
+# The order-2 pair: every pair of Latin squares of order 2 holds 2 distinct
+# (rank, suit) pairs.
+_ORDER_TWO_PAIR = ([[0, 1], [1, 0]], [[1, 0], [0, 1]])
 
 
-def _intercalate_flips(sq):
-    """All 2x2 subsquares whose flip keeps the square Latin.
+def _prime_power_factors(d):
+    """The prime powers whose product is d, by increasing prime."""
+    factors = []
+    p = 2
+    while d > 1:
+        q = 1
+        while d % p == 0:
+            d //= p
+            q *= p
+        if q > 1:
+            factors.append(q)
+        p += 1
+    return factors
 
-    Each is a list [r1, r2, c1, c2] with r1 < r2 and c1 < c2, in
-    lexicographic order.
+
+def _macneish(a, b):
+    """MacNeish's product of two squares, b of order q.
+
+    Cell (i1*q + i2, j1*q + j2) holds a[i1, j1]*q + b[i2, j2]. The product
+    of two orthogonal pairs, square by square, is an orthogonal pair.
     """
-    d = sq.shape[0]
-    # same[r1, r2, c1, c2]: sq[r1, c1] == sq[r2, c2]
-    same = sq[:, None, :, None] == sq[None, :, None, :]
-    upper = np.triu(np.ones((d, d), dtype=bool), 1)
-    hit = (
-        same
-        & same.transpose(0, 1, 3, 2)
-        & upper[:, :, None, None]
-        & upper[None, None, :, :]
-    )
-    return np.argwhere(hit).tolist()
+    b = np.asarray(b, dtype=np.int64)
+    q = len(b)
+    return (a[:, None, :, None] * q + b[None, :, None, :]).reshape(len(a) * q, -1)
 
 
-def _climb(ranks, suits, rng):
-    """Greedy intercalate-flip ascent of the distinct-pair count, in place.
+def _base_pair(d):
+    """The pair of Latin squares of order d behind the base.
 
-    Repeats passes over ranks then suits until a pass over both improves
-    nothing. A pass lists the square's flips once, shuffles them with rng and
-    tries each in turn, keeping it only when it raises the count. A flip
-    swaps the two columns of its 2x2 subsquare in the square as it stands,
-    even when an earlier flip of the pass has broken the intercalate. The
-    count is kept up to date from a table of pair multiplicities: a flip
-    moves the four pairs of its cells. Returns the final count.
+    Order 6 takes its pinned pair. Otherwise each prime-power factor q of d
+    contributes the first two squares of mols_construct(q), or the order-2
+    pair at q = 2, and the factors' pairs combine by MacNeish's product.
+    So the pair is orthogonal at every d that is not 2 mod 4, and holds
+    d*d/2 distinct pairs at the orders 2 mod 4 from 10 on.
     """
-    d = ranks.shape[0]
-    # table[card]: the number of cells holding the pair with that card
-    table = np.bincount(_cards(ranks, suits), minlength=d * d).tolist()
-    count = d * d - table.count(0)
-    improved = True
-    while improved:
-        improved = False
-        # the key of a cell's pair is scale * (its value in sq)
-        # + other_scale * (its value in the other square)
-        for sq, other, scale, other_scale in (
-            (ranks, suits, d, 1),
-            (suits, ranks, 1, d),
-        ):
-            flips = _intercalate_flips(sq)
-            rng.shuffle(flips)
-            rows = sq.tolist()
-            pairs = (other * other_scale).tolist()
-            for r1, r2, c1, c2 in flips:
-                row1, row2 = rows[r1], rows[r2]
-                p1, p2 = pairs[r1], pairs[r2]
-                x11, x12, x21, x22 = row1[c1], row1[c2], row2[c1], row2[c2]
-                old = (
-                    x11 * scale + p1[c1], x12 * scale + p1[c2],
-                    x21 * scale + p2[c1], x22 * scale + p2[c2],
-                )
-                new = (
-                    x12 * scale + p1[c1], x11 * scale + p1[c2],
-                    x22 * scale + p2[c1], x21 * scale + p2[c2],
-                )
-                new_count = count
-                for key in old:
-                    table[key] -= 1
-                    if not table[key]:
-                        new_count -= 1
-                for key in new:
-                    if not table[key]:
-                        new_count += 1
-                    table[key] += 1
-                if new_count > count:
-                    count = new_count
-                    improved = True
-                    row1[c1], row1[c2] = x12, x11
-                    row2[c1], row2[c2] = x22, x21
-                else:
-                    for key in new:
-                        table[key] -= 1
-                    for key in old:
-                        table[key] += 1
-            sq[...] = rows
-    return count
-
-
-_BASE_SEARCH_SEED = 36  # fixed: the default base must be reproducible
-_BASE_RESTARTS = 60
-
-# The most distinct (rank, suit) pairs two Latin squares of order d can
-# hold: d*d wherever an orthogonal pair exists, which is every order except
-# 2 and 6 (Bose, Shrikhande and Parker, 1960). At order 2 every pair of
-# squares gives exactly 2, and at order 6 the classical maximum is 34, the
-# best near miss to Euler's 36 officers (as quoted by Rather et al., Phys.
-# Rev. Lett. 128, 080507, 2022). No restart whose squares stay Latin can
-# beat a count that reaches this bound. (A pass can leave a square that is
-# not Latin, see _climb; at order 6 none of 3000 restarts tried did.)
-_MAX_DISTINCT_PAIRS = {2: 2, 6: 34}
+    if d == 6:
+        return tuple(np.array(sq, dtype=np.int64) for sq in _ORDER_SIX_PAIR)
+    ranks = suits = np.zeros((1, 1), dtype=np.int64)
+    for q in _prime_power_factors(d):
+        a, b = _ORDER_TWO_PAIR if q == 2 else mols_construct(q)[:2]
+        ranks, suits = _macneish(ranks, a), _macneish(suits, b)
+    return ranks, suits
 
 
 @lru_cache(maxsize=None)
 def _near_ols_permutation(d: int):
-    """Best-effort orthogonal pair of order d, repaired and card-encoded.
+    """The base permutation of order d*d and its distinct-pair count.
 
-    Local search over pairs of Latin squares (intercalate flips, greedy, with
-    seeded restarts) maximizes the number of distinct (rank, suit) pairs.
-    The restarts stop early once one reaches the most pairs two Latin
-    squares of order d can hold (_MAX_DISTINCT_PAIRS: d*d, but 34 at order
-    6, where no orthogonal pair exists, and 2 at order 2); only a strictly
-    higher count replaces the best so far, so stopping there changes
-    nothing. Where local search ends short of d*d pairs and the
-    finite-field construction applies (prime-power d >= 3), its first two
-    squares are used instead: intercalate flips cannot move cyclic squares
-    of prime order, and stop at 17/25, 35/49, 62/64 and 58/81 at orders 5,
-    7, 8 and 9. Otherwise cells holding duplicate pairs are refilled with
-    the unused pairs, so the encoding is a genuine permutation even when no
-    orthogonal pair of this order exists. Returns (permutation matrix,
-    distinct-pair count of the unrepaired squares); the cached matrix is
-    read-only, since every caller shares it.
+    The card encoding of _base_pair(d), with cells holding duplicate pairs
+    refilled with the unused pairs, so the encoding is a genuine
+    permutation even where no orthogonal pair of order d exists. Returns
+    (permutation matrix, distinct-pair count of the unrepaired squares):
+    d*d wherever d is not 2 mod 4, 2 at order 2, 34 at order 6 and d*d/2
+    at the other orders 2 mod 4. The cached matrix is read-only, since
+    every caller shares it.
     """
     if d < 2:
         raise DimensionError(f"need order >= 2, got {d}")
-    rng = np.random.default_rng(_BASE_SEARCH_SEED + d)
-    most = _MAX_DISTINCT_PAIRS.get(d, d * d)
-    best_count = -1
-    best = None
-    for _ in range(_BASE_RESTARTS):
-        ranks = _random_latin(d, rng)
-        suits = _random_latin(d, rng)
-        count = _climb(ranks, suits, rng)
-        if count > best_count:
-            best_count = count
-            best = (ranks, suits)
-        if best_count == most:
-            break
-    ranks, suits = best
-    if best_count < d * d:
-        try:
-            ranks, suits = mols_construct(d)[:2]
-            best_count = d * d
-        except (NotAPrimePowerError, InvalidDesignError):
-            pass
+    ranks, suits = _base_pair(d)
     perm = _repair_to_permutation(ranks, suits)
     perm.flags.writeable = False
-    return perm, best_count
+    return perm, int(np.count_nonzero(np.bincount(_cards(ranks, suits))))
 
 
 def _repair_to_permutation(ranks, suits):
@@ -552,10 +474,11 @@ def _repair_to_permutation(ranks, suits):
 def default_base_permutation(d: int = 6):
     """The built-in order-36 base permutation and its distinct-pair count.
 
-    Built from a pair of order-6 Latin squares chosen by local search to
-    maximize the count of distinct (rank, suit) pairs, with the few duplicate
-    pairs repaired to the unused ones. Deterministic across calls. Decoding
-    it with permutation_to_ols fails by design: it is only nearly orthogonal.
+    The card encoding of a fixed pair of order-6 Latin squares holding 34
+    distinct (rank, suit) pairs, the classical maximum, with the two
+    duplicate pairs repaired to the unused ones. Deterministic across calls.
+    Decoding it with permutation_to_ols fails by design: no orthogonal pair
+    of order 6 exists, so it is only nearly orthogonal.
     """
     if d != 6:
         raise CapabilityError(
@@ -580,8 +503,10 @@ def brute_force_permutations(d: int) -> list:
     column (b, i). The first cell claimed twice prunes the whole subtree,
     which holds no solution, so all (d*d)! permutations are still decided.
     Results are integer matrices in the lexicographic order of the
-    underlying permutations.
+    underlying permutations. d must be an integer (numpy integers pass),
+    else it is a DimensionError.
     """
+    d = _integer("d", d, DimensionError)
     if d not in (2, 3):
         n = d * d if d >= 1 else 0
         raise CapabilityError(

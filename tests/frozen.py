@@ -80,3 +80,14 @@ PRIME_POWERS_TO_49 = [
     2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25,
     27, 29, 31, 32, 37, 41, 43, 47, 49,
 ]
+
+# card lists of the built-in base permutations at orders 2 and 6: cell
+# (r, c), column r*d + c of the base, holds its 1 in row BASE_CARDS[d][r*d + c]
+BASE_CARDS = {
+    2: [1, 2, 0, 3],
+    6: [
+        30, 26, 7, 17, 21, 4, 1, 23, 32, 28, 12, 9,
+        22, 0, 27, 31, 11, 14, 29, 33, 16, 6, 2, 19,
+        15, 10, 5, 20, 25, 35, 8, 13, 18, 3, 34, 24,
+    ],
+}

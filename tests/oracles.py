@@ -530,19 +530,7 @@ def oa_counts_by_loops(rows, levels, k):
 
 
 # ---------------------------------------------------------------------------
-# near-orthogonal Latin pairs by set-counting local search
-
-
-def intercalate_flips_by_loops(sq):
-    """Every (r1, r2, c1, c2), r1 < r2, c1 < c2, whose 2x2 subsquare is an
-    intercalate, in lexicographic order."""
-    d = sq.shape[0]
-    out = []
-    for r1, r2 in itertools.combinations(range(d), 2):
-        for c1, c2 in itertools.combinations(range(d), 2):
-            if sq[r1, c1] == sq[r2, c2] and sq[r1, c2] == sq[r2, c1]:
-                out.append((r1, r2, c1, c2))
-    return out
+# random Latin pairs and their repair
 
 
 def random_latin_by_permutations(d, rng):
@@ -550,48 +538,6 @@ def random_latin_by_permutations(d, rng):
     sq = np.array([[(r + c) % d for c in range(d)] for r in range(d)])
     sq = sq[rng.permutation(d), :][:, rng.permutation(d)]
     return rng.permutation(d)[sq]
-
-
-def near_ols_squares_by_sets(d, seed, restarts):
-    """Best Latin pair of order d found by greedy intercalate flips.
-
-    Runs every one of the restarts from numpy's default generator seeded
-    with seed. Each restart draws a random ranks and suits square, then
-    repeats passes over ranks then suits until a pass over both improves
-    nothing; a pass shuffles the square's flip list and keeps a flip only
-    when the distinct-pair count, recounted as a set each time, rises.
-    Returns (ranks, suits, count) of the first restart with the highest
-    count.
-    """
-    rng = np.random.default_rng(seed)
-
-    def swap(sq, flip):
-        r1, r2, c1, c2 = flip
-        sq[r1, c1], sq[r1, c2] = sq[r1, c2], sq[r1, c1]
-        sq[r2, c1], sq[r2, c2] = sq[r2, c2], sq[r2, c1]
-
-    best = None
-    for _ in range(restarts):
-        ranks = random_latin_by_permutations(d, rng)
-        suits = random_latin_by_permutations(d, rng)
-        count = distinct_pair_count(ranks, suits)
-        improved = True
-        while improved:
-            improved = False
-            for sq in (ranks, suits):
-                flips = intercalate_flips_by_loops(sq)
-                rng.shuffle(flips)
-                for flip in flips:
-                    swap(sq, flip)
-                    new_count = distinct_pair_count(ranks, suits)
-                    if new_count > count:
-                        count = new_count
-                        improved = True
-                    else:
-                        swap(sq, flip)
-        if best is None or count > best[2]:
-            best = (ranks.copy(), suits.copy(), count)
-    return best
 
 
 def repaired_card_matrix_by_loops(ranks, suits):

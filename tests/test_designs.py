@@ -99,8 +99,10 @@ def test_verify_latin_flags_out_of_range_symbols():
 
 
 def test_cells_must_be_integer_grids():
-    with pytest.raises(InvalidDesignError):
-        verify_latin(np.full((2, 2), 0.5))
+    for value in (0.5, np.inf, np.nan, 1e300):
+        with pytest.raises(InvalidDesignError):
+            verify_latin(np.full((2, 2), value))
+    assert verify_latin(cyclic_latin(3).astype(float)).passed
     with pytest.raises(DimensionError):
         verify_latin(np.zeros((2, 3), dtype=np.int64))
 
@@ -668,6 +670,20 @@ def test_oa_verify_rejects_degenerate_arrays():
 
     with pytest.raises(DimensionError):
         oa_verify(OrthogonalArray(levels=2, strength=4, rows=np.zeros((4, 2), dtype=int)))
+
+    # symbols, levels and strength are integers: whole-valued floats pass,
+    # and nothing is truncated
+    whole = OrthogonalArray(levels=2, strength=1, rows=[[0.0], [1.0]])
+    assert whole.rows.dtype == np.int64 and oa_verify(whole).passed
+    non_integer = [[0.5], [1.7]], [[0], [np.inf]], [[0], [np.nan]], [[0], [1e300]]
+    for rows in (*non_integer, [[False], [True]]):
+        with pytest.raises(InvalidDesignError):
+            OrthogonalArray(levels=2, strength=1, rows=rows)
+    for levels, strength in ((2.5, 1), (2, 1.0), ("2", 1)):
+        with pytest.raises(InvalidDesignError):
+            OrthogonalArray(levels=levels, strength=strength, rows=[[0], [1]])
+    cast = OrthogonalArray(levels=np.int64(2), strength=np.int64(1), rows=[[0], [1]])
+    assert type(cast.levels) is int and type(cast.strength) is int
 
 
 def test_qoa_from_embedded_classic_pair(classic_pair):

@@ -11,22 +11,25 @@ from qeuler import (
     DimensionError,
     NotAnOlsError,
     NumericError,
+    OrthogonalLatinPair,
     SearchConfig,
     amplitude_profile,
     brute_force_permutations,
-    cyclic_latin,
     default_base_permutation,
     mols_construct,
     multi_seed_search,
+    ols_to_permutation,
     partial_transpose,
     permutation_to_ols,
     polar_decompose,
+    prime_power_decompose,
     reshuffle,
     search,
     seed_matrix,
     sinkhorn_step,
     two_unitarity_defect,
     unitarity_defect,
+    verify_orthogonal_pair,
 )
 from qeuler import jsonio, solver
 from qeuler.linalg import robust_svd
@@ -483,13 +486,24 @@ def test_default_base_is_a_near_orthogonal_permutation():
     assert base.shape == (36, 36)
     assert np.all((base == 0) | (base == 1))
     assert (base.sum(axis=0) == 1).all() and (base.sum(axis=1) == 1).all()
-    # local search cannot reach 36 distinct pairs (no orthogonal pair of
-    # order six exists) but it gets past 30
+    # no orthogonal pair of order six exists, so no pair of Latin squares
+    # reaches 36 distinct pairs; the built-in one holds 34
     assert 30 < count < 36
     assert unitarity_defect(base) == 0.0
     assert two_unitarity_defect(base) > 0.0
     with pytest.raises(NotAnOlsError):
         permutation_to_ols(base)
+
+
+def test_bases_of_orders_two_and_six_are_pinned():
+    # no orthogonal pair exists at these orders: every pair of order 2 holds
+    # 2 distinct (rank, suit) pairs, and the order-6 pair holds 34, the
+    # classical maximum
+    for d, count in ((2, 2), (6, 34)):
+        base, got = solver._near_ols_permutation(d)
+        assert got == count
+        assert np.array_equal(base, solver._card_permutation(frozen.BASE_CARDS[d]))
+    assert np.array_equal(default_base_permutation()[0], solver._near_ols_permutation(6)[0])
 
 
 def test_default_base_is_deterministic():
@@ -500,30 +514,23 @@ def test_default_base_is_deterministic():
 
 
 def test_prime_power_bases_are_orthogonal_pairs():
-    # local search stops at 17, 35, 62 and 58 distinct pairs at these
-    # orders; the finite-field construction takes over
-    for d in (5, 7, 8, 9):
+    # every order that is not 2 mod 4 has an orthogonal pair: the
+    # finite-field pair at prime powers, and MacNeish's product of those at
+    # 12, 15, 20 and 21
+    for d in range(3, 22):
+        if d % 4 == 2:
+            continue
         base, count = solver._near_ols_permutation(d)
         assert count == d * d
         assert base.shape == (d * d, d * d)
         assert two_unitarity_defect(base) == 0.0
-
-
-@pytest.mark.parametrize("d", range(2, 11))
-def test_base_equals_the_set_counting_search(d):
-    # the loop reference runs every restart and recounts pairs as a set;
-    # the finite-field fallback and the repair are applied to its result
-    ranks, suits, count = oracles.near_ols_squares_by_sets(
-        d, solver._BASE_SEARCH_SEED + d, solver._BASE_RESTARTS
-    )
-    if count < d * d and d in (3, 4, 5, 7, 8, 9):
-        ranks, suits = mols_construct(d)[:2]
-        count = d * d
-    want = oracles.repaired_card_matrix_by_loops(ranks, suits)
-    base, got = solver._near_ols_permutation(d)
-    assert base.dtype == want.dtype
-    assert np.array_equal(base, want)
-    assert got == count
+        if prime_power_decompose(d) is not None:
+            want = oracles.repaired_card_matrix_by_loops(*mols_construct(d)[:2])
+            assert np.array_equal(base, want), d
+        else:
+            pair = OrthogonalLatinPair(*solver._base_pair(d))
+            assert verify_orthogonal_pair(pair).passed
+            assert np.array_equal(base, ols_to_permutation(pair))
 
 
 @pytest.mark.parametrize("d", range(4, 9))
@@ -541,9 +548,9 @@ def test_repair_equals_the_loop_repair(d):
 
 
 def test_bases_of_orders_two_to_ten_come_from_latin_squares(monkeypatch):
-    # the squares handed to the repair: a pass of the local search can leave
-    # a square that is not Latin (the order-12 base's suits square is not),
-    # but none of the bases of orders 2-10 is one of those
+    # the squares handed to the repair are Latin at every order, 2-24 here;
+    # at the orders 2 mod 4 from 10 on, the product with the order-2 pair
+    # holds half of the d*d pairs
     repaired = []
 
     def recorded(ranks, suits):
@@ -552,44 +559,16 @@ def test_bases_of_orders_two_to_ten_come_from_latin_squares(monkeypatch):
 
     repair = solver._repair_to_permutation
     monkeypatch.setattr(solver, "_repair_to_permutation", recorded)
-    for d in range(2, 11):
+    for d in range(2, 25):
         repaired.clear()
-        base, _ = solver._near_ols_permutation.__wrapped__(d)
+        base, count = solver._near_ols_permutation.__wrapped__(d)
         (ranks, suits), = repaired
         assert np.array_equal(base, solver._near_ols_permutation(d)[0])
         assert oracles.latin_violations_by_loops(ranks) == [], d
         assert oracles.latin_violations_by_loops(suits) == [], d
-
-
-def test_intercalate_flips_match_the_loop_reference():
-    rng = np.random.default_rng(2024)
-    squares = [cyclic_latin(d) for d in range(2, 10)]
-    for d in range(2, 10):
-        squares += [oracles.random_latin_by_permutations(d, rng) for _ in range(5)]
-        # squares moved by flips, which permutations of cyclic ones are not
-        squares += oracles.near_ols_squares_by_sets(d, d, 1)[:2]
-    for sq in squares:
-        want = [list(f) for f in oracles.intercalate_flips_by_loops(sq)]
-        assert solver._intercalate_flips(sq) == want
-
-
-def test_base_search_stops_at_the_most_distinct_pairs(monkeypatch):
-    # no pair of Latin squares of order 6 holds more than 34 distinct pairs,
-    # and every pair of order 2 holds exactly 2: the restart that first
-    # reaches the bound is the last one run
-    climbs = []
-
-    def counted(ranks, suits, rng):
-        climbs.append(climb(ranks, suits, rng))
-        return climbs[-1]
-
-    climb = solver._climb
-    monkeypatch.setattr(solver, "_climb", counted)
-    for d, most, restarts in ((6, 34, 8), (2, 2, 1)):
-        climbs.clear()
-        assert solver._near_ols_permutation.__wrapped__(d)[1] == most
-        assert len(climbs) == restarts and climbs[-1] == most
-        assert max(climbs[:-1], default=0) < most
+        assert count == oracles.distinct_pair_count(ranks, suits)
+        if d % 4 == 2 and d >= 10:
+            assert count == d * d // 2
 
 
 def test_cached_base_is_read_only():
@@ -640,6 +619,10 @@ def test_brute_force_bound():
         brute_force_permutations(4)
     with pytest.raises(CapabilityError):
         brute_force_permutations(1)
+    for d in (2.0, 3.5, "3"):
+        with pytest.raises(DimensionError, match="must be an int"):
+            brute_force_permutations(d)
+    assert brute_force_permutations(np.int64(2)) == []
 
 
 # ---------------------------------------------------------------------------
