@@ -460,8 +460,9 @@ def search_cmd(
 def bruteforce_cmd(dim, out_path):
     """Exhaust all order dim**2 permutation matrices for exact 2-unitarity.
 
-    Places one column at a time and prunes at the first conflicting cell,
-    so every one of the (dim**2)! permutations is still decided.
+    Extends every partial placement by every row of the next column at
+    once, and drops a placement at its first conflicting cell, so every one
+    of the (dim**2)! permutations is still decided.
     """
     found = brute_force_permutations(dim)
     n = dim * dim

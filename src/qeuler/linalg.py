@@ -80,14 +80,15 @@ def _unfoldings(t, row_sets) -> np.ndarray:
 def _unfolding_index(shape, row_sets) -> np.ndarray:
     """Flat positions in a tensor of this shape that _unfoldings gathers."""
     positions = np.arange(math.prod(shape)).reshape(shape)
-    stack = []
-    for rows in row_sets:
-        cols = tuple(q for q in range(len(shape)) if q not in rows)
-        n_rows = math.prod(shape[q] for q in rows)
-        stack.append(positions.transpose(rows + cols).reshape(n_rows, -1))
-    index = np.stack(stack)
+    index = np.stack([_unfold(positions, rows) for rows in row_sets])
     index.flags.writeable = False
     return index
+
+
+def _unfold(t, rows) -> np.ndarray:
+    """One unfolding of t as a new array: the axes rows (a tuple) as its rows."""
+    cols = tuple(q for q in range(t.ndim) if q not in rows)
+    return t.transpose(rows + cols).reshape(math.prod(t.shape[q] for q in rows), -1)
 
 
 @lru_cache(maxsize=64)
@@ -101,13 +102,30 @@ def _subsets(n, k, with_first=False) -> tuple:
     return tuple(rows for rows in subsets if not with_first or rows[0] == 0)
 
 
+# The most entries _marginal_defects gathers into one stack. Beyond it the
+# unfoldings are taken one at a time and no index is cached: qoa_verify at
+# order 9 has six unfoldings of 531441 entries, a 51 MB stack with a 25 MB
+# index, while the certify chain's stacks hold at most 6 * 36 * 36 entries.
+_STACK_LIMIT = 1 << 16
+
+
 def _marginal_defects(t, row_sets, c) -> np.ndarray:
     """Frobenius norms of M M* - c I over the unfoldings M of t (see _unfoldings).
 
     For a state tensor M M* is the reduced density matrix of the row axes,
     so these are the distances of its marginals from c times the identity.
+    Each unfolding gets the same product and reduction whether it is
+    gathered with the others or alone, so the residuals are the same bits.
     """
-    m = _unfoldings(t, row_sets)
+    if len(row_sets) * t.size > _STACK_LIMIT:
+        return np.concatenate(
+            [_gram_residuals(_unfold(t, rows)[None], c) for rows in row_sets]
+        )
+    return _gram_residuals(_unfoldings(t, row_sets), c)
+
+
+def _gram_residuals(m, c) -> np.ndarray:
+    """Frobenius norms of M M* - c I over a stack of matrices M."""
     g = m @ m.conj().swapaxes(-1, -2)
     _subtract_diagonal(g, c)
     return _frobenius(g, (-2, -1))

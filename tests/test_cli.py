@@ -482,6 +482,16 @@ def test_bruteforce_out_of_reach_is_usage_error(runner):
     assert "out of reach" in result.output
 
 
+def test_bruteforce_far_out_of_reach_is_usage_error(runner):
+    # the refusal states 1600! without computing it
+    result = invoke(runner, "bruteforce", "--dim", "40")
+    assert result.exit_code == 2
+    assert (
+        "error: d = 40: exhausting the (d**2)! = 1600! permutations is out of reach"
+        in result.output
+    )
+
+
 def test_missing_required_flag_is_usage_error(runner):
     result = invoke(runner, "search")
     assert result.exit_code == 2

@@ -34,6 +34,7 @@ from qeuler import (
     verify_orthogonal_pair,
 )
 
+from qeuler import linalg
 from qeuler.linalg import gram_defect
 
 import frozen
@@ -737,6 +738,25 @@ def test_qoa_verify_matches_summed_loop_marginals(d, rng):
         ]
         assert {v.condition for v in report.violations} <= {"marginal"}
         assert report.passed == all(value <= tol for value in want.values())
+
+
+def test_large_qoa_verify_is_each_subset_alone_bit_for_bit(rng, monkeypatch):
+    # at order 5 the six unfoldings hold more than linalg._STACK_LIMIT
+    # entries, so they are gathered one at a time with no cached index;
+    # each residual keeps the bits of its subset alone and of one stack
+    rows = random_unitary(25, rng) + 0.1 * rng.standard_normal((25, 25))
+    arr = qoa_from_qols(square_from_unitary_rows(rows))
+    t = arr.states.reshape((25,) + (5,) * 4)
+    row_sets = [tuple(q + 1 for q in keep) for keep in itertools.combinations(range(4), 2)]
+    assert len(row_sets) * t.size > linalg._STACK_LIMIT >= t.size
+    before = linalg._unfolding_index.cache_info()
+    got = [x.hex() for x in qoa_verify(arr).family_residuals.values()]
+    assert linalg._unfolding_index.cache_info() == before
+    alone = [linalg._marginal_defects(t, [r], 1.0)[0].hex() for r in row_sets]
+    monkeypatch.setattr(linalg, "_STACK_LIMIT", t.size * len(row_sets))
+    stacked = [x.hex() for x in linalg._marginal_defects(t, row_sets, 1.0).tolist()]
+    assert got == alone == stacked
+    assert all(float.fromhex(x) > 1e-3 for x in got)
 
 
 def test_qoa_detects_non_uniform_marginals():

@@ -1,5 +1,6 @@
 import json
 import math
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -614,11 +615,33 @@ def test_order_nine_search_is_every_orthogonal_pair_in_order():
         assert two_unitarity_defect(m) == 0.0
 
 
+def test_brute_force_results_are_separate_writable_arrays():
+    first, second = brute_force_permutations(3), brute_force_permutations(3)
+    assert all(np.array_equal(a, b) for a, b in zip(first, second))
+    for m in first:
+        assert m.dtype == np.int64 and m.flags.writeable
+    first[0][:] = 7
+    first[-1][0, 0] = 7
+    assert all(m.sum() == 9 for m in second)
+    assert all(m.sum() == 9 for m in brute_force_permutations(3))
+
+
+def test_cached_placement_masks_are_read_only():
+    masks = solver._placement_masks(3)
+    assert masks is solver._placement_masks(3)
+    assert masks.shape == (9, 9) and masks.dtype == np.int64
+    with pytest.raises(ValueError):
+        masks[0, 0] = 0
+
+
 def test_brute_force_bound():
-    with pytest.raises(CapabilityError):
-        brute_force_permutations(4)
-    with pytest.raises(CapabilityError):
-        brute_force_permutations(1)
+    # refused without computing (d**2)!: 1600! alone has 4434 digits, past
+    # Python's int-to-str limit
+    for d in (1, 4, 40, 10**6):
+        t0 = time.perf_counter()
+        with pytest.raises(CapabilityError, match="out of reach"):
+            brute_force_permutations(d)
+        assert time.perf_counter() - t0 < 0.1, d
     for d in (2.0, 3.5, "3"):
         with pytest.raises(DimensionError, match="must be an int"):
             brute_force_permutations(d)
