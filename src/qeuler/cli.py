@@ -11,25 +11,12 @@ import collections
 import functools
 import json
 import math
-import statistics
 import sys
 
 import click
 import numpy as np
 
 from . import jsonio
-from .designs import (
-    OrthogonalLatinPair,
-    cyclic_latin,
-    mols_construct,
-    oa_verify,
-    ols_to_permutation,
-    qls_verify,
-    qoa_verify,
-    qols_verify,
-    verify_latin,
-    verify_orthogonal_pair,
-)
 from .errors import (
     CapabilityError,
     DimensionError,
@@ -44,12 +31,9 @@ from .solver import (
     brute_force_permutations,
     multi_seed_search,
 )
-from .states import (
-    ame_check,
-    ame_from_ols,
-    k_uniform_check,
-    state_from_two_unitary,
-)
+
+# The design and state commands import what they use in their own bodies,
+# so that search and bruteforce load neither designs nor states.
 
 MATH_FAILURE = 1
 USAGE_FAILURE = 2
@@ -178,6 +162,8 @@ def design():
 @_guarded
 def design_gen(kind, order, out_path, style):
     """Construct a design of the given order and emit it as JSON."""
+    from .designs import OrthogonalLatinPair, cyclic_latin, mols_construct
+
     if kind == "ls":
         obj = cyclic_latin(order)
     elif kind == "mols":
@@ -192,6 +178,16 @@ def design_gen(kind, order, out_path, style):
 
 
 def _verify_dispatch(kind, obj, tol):
+    from .designs import (
+        OrthogonalLatinPair,
+        oa_verify,
+        qls_verify,
+        qoa_verify,
+        qols_verify,
+        verify_latin,
+        verify_orthogonal_pair,
+    )
+
     if kind == "ls":
         return [("latin", verify_latin(obj))]
     if kind == "ols":
@@ -243,6 +239,8 @@ def design_verify(in_path, tol):
 @_guarded
 def design_encode(in_path, out_path):
     """Card-encode a stored orthogonal pair as its permutation matrix."""
+    from .designs import ols_to_permutation
+
     kind, obj = jsonio.design_from_json(jsonio.load_json(in_path))
     if kind != "ols":
         raise FormatError(f"encode expects an ols design, got {kind!r}")
@@ -266,6 +264,8 @@ def state():
 @_guarded
 def state_build(source, in_path, out_path):
     """Four-party state from an orthogonal pair or a square matrix."""
+    from .states import ame_from_ols, state_from_two_unitary
+
     if source == "ols":
         kind, obj = jsonio.design_from_json(jsonio.load_json(in_path))
         if kind != "ols":
@@ -295,6 +295,8 @@ def state_build(source, in_path, out_path):
 @_guarded
 def state_check(in_path, k, tol):
     """Per-subset marginal residual table for a stored state."""
+    from .states import ame_check, k_uniform_check
+
     psi = jsonio.state_from_json(jsonio.load_json(in_path))
     if k is not None:
         report = k_uniform_check(psi, k, tol)
@@ -418,6 +420,8 @@ def search_cmd(
         + ", ".join(f"{reason} {reasons[reason]}" for reason in STOP_REASONS)
     )
     if summary.n_converged:
+        import statistics
+
         iters = sorted(
             n for n, count in summary.iteration_histogram.items() for _ in range(count)
         )

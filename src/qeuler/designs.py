@@ -25,6 +25,8 @@ from .errors import (
 )
 from .gf import _field_cached, prime_power_decompose
 from .linalg import (
+    _card_permutation,
+    _cards,
     _check_tol,
     _frobenius,
     _marginal_defects,
@@ -352,23 +354,6 @@ def ols_function_tables(pair: OrthogonalLatinPair) -> FunctionTables:
     f3 = np.zeros_like(f1)
     f3[s, r] = np.stack((v, c), axis=-1)
     return FunctionTables(f1=f1, f2=f2, f3=f3)
-
-
-def _cards(ranks, suits) -> np.ndarray:
-    """The card v*d + s of each cell holding (v, s), cells in row-major order."""
-    return (ranks * ranks.shape[0] + suits).ravel()
-
-
-def _card_permutation(cards) -> np.ndarray:
-    """The 0/1 integer matrix with the 1 of column k in row cards[k], unchecked.
-
-    With cards from _cards, column r*d + c is cell (r, c) and its 1 sits in
-    the row of the card the cell holds: the card encoding of the squares.
-    """
-    n = len(cards)
-    out = np.zeros((n, n), dtype=np.int64)
-    out[cards, np.arange(n)] = 1
-    return out
 
 
 def ols_to_permutation(pair: OrthogonalLatinPair) -> np.ndarray:

@@ -10,17 +10,16 @@ from __future__ import annotations
 import csv
 import json
 import math
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .designs import (
-    OrthogonalArray,
-    OrthogonalLatinPair,
-    QuantumOrthogonalArray,
-    QuantumSquare,
-)
 from .errors import FormatError
-from .states import PureState
+
+# The design and state readers import their classes when called, so that
+# reading and writing matrices and search results loads neither module.
+if TYPE_CHECKING:
+    from .states import PureState
 
 __all__ = [
     "load_json",
@@ -183,6 +182,13 @@ def design_to_json(kind: str, obj) -> dict:
 
 def design_from_json(obj):
     """Parse a design document; returns (kind, object)."""
+    from .designs import (
+        OrthogonalArray,
+        OrthogonalLatinPair,
+        QuantumOrthogonalArray,
+        QuantumSquare,
+    )
+
     kind = _need(obj, "kind", "design")
     if kind not in DESIGN_KINDS:
         raise FormatError(f"design: unknown kind {kind!r}")
@@ -251,6 +257,8 @@ def state_to_json(state: PureState) -> dict:
 
 
 def state_from_json(obj) -> PureState:
+    from .states import PureState
+
     dims = _need(obj, "dims", "state")
     if not isinstance(dims, list) or not dims or not all(
         _is_int(d) and d >= 1 for d in dims

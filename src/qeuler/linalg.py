@@ -86,7 +86,7 @@ def _unfolding_index(shape, row_sets) -> np.ndarray:
 
 
 def _unfold(t, rows) -> np.ndarray:
-    """One unfolding of t as a new array: the axes rows (a tuple) as its rows."""
+    """One unfolding of t, the axes rows (a tuple) as its rows; may be a view of t."""
     cols = tuple(q for q in range(t.ndim) if q not in rows)
     return t.transpose(rows + cols).reshape(math.prod(t.shape[q] for q in rows), -1)
 
@@ -356,3 +356,24 @@ def _balanced_defects(t, dim, half_order) -> list:
         raise NumericError("tensor has non-finite entries")
     subsets = _subsets(n_axes, half_order, with_first=True)
     return gram_defect(_unfoldings(t, subsets)).tolist()
+
+
+def _cards(ranks, suits) -> np.ndarray:
+    """The card v*d + s of each cell holding (v, s), cells in row-major order.
+
+    The card encoding of designs lives here so that the search's bases can
+    use it without loading designs.
+    """
+    return (ranks * ranks.shape[0] + suits).ravel()
+
+
+def _card_permutation(cards) -> np.ndarray:
+    """The 0/1 integer matrix with the 1 of column k in row cards[k], unchecked.
+
+    With cards from _cards, column r*d + c is cell (r, c) and its 1 sits in
+    the row of the card the cell holds: the card encoding of the squares.
+    """
+    n = len(cards)
+    out = np.zeros((n, n), dtype=np.int64)
+    out[cards, np.arange(n)] = 1
+    return out

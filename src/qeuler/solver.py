@@ -14,15 +14,15 @@ import cmath
 import math
 import operator
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
 
 import numpy as np
 
 from .errors import CapabilityError, DimensionError, NumericError
-from .designs import _card_permutation, _cards, mols_construct
 from .linalg import (
+    _card_permutation,
+    _cards,
     block_dim,
     gram_defect,
     partial_transpose,
@@ -355,6 +355,9 @@ def multi_seed_search(config: SearchConfig, n_seeds: int, jobs: int | None = Non
     else:
         cuts = [n_seeds * w // workers for w in range(workers + 1)]
         batches = [seeds[a:b] for a, b in zip(cuts, cuts[1:])]
+        # imported here, so that a sweep in one thread never loads it
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=workers) as pool:
             run_batch = partial(_lockstep, config)
             runs = [run for batch in pool.map(run_batch, batches) for run in batch]
@@ -432,7 +435,12 @@ def _base_pair(d):
         return tuple(np.array(sq, dtype=np.int64) for sq in _ORDER_SIX_PAIR)
     ranks = suits = np.zeros((1, 1), dtype=np.int64)
     for q in _prime_power_factors(d):
-        a, b = _ORDER_TWO_PAIR if q == 2 else mols_construct(q)[:2]
+        if q == 2:
+            a, b = _ORDER_TWO_PAIR
+        else:  # only here do the designs and the finite fields load
+            from .designs import mols_construct
+
+            a, b = mols_construct(q)[:2]
         ranks, suits = _macneish(ranks, a), _macneish(suits, b)
     return ranks, suits
 

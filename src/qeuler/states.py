@@ -18,7 +18,7 @@ import numpy as np
 
 from .designs import OrthogonalLatinPair, ols_to_permutation
 from .errors import DimensionError, NumericError
-from .linalg import _check_tol, _marginal_defects, _subsets, _unfoldings, block_dim
+from .linalg import _check_tol, _marginal_defects, _subsets, _unfold, block_dim
 
 __all__ = [
     "PureState",
@@ -131,7 +131,7 @@ def _split_sides(state: PureState, left):
 
 def schmidt_decompose(state: PureState, left, rank_tol: float = 1e-12):
     """Schmidt decomposition across the bipartition (left parties | rest)."""
-    c = _unfoldings(state.tensor(), [_split_sides(state, left)])[0]
+    c = _unfold(state.tensor(), _split_sides(state, left))
     u, s, vh = np.linalg.svd(c, full_matrices=True)
     lambdas = s**2
     rank = int(np.count_nonzero(lambdas > rank_tol))
@@ -180,7 +180,7 @@ def reduced_density(state: PureState, keep) -> np.ndarray:
         raise ValueError(f"keep {keep} must be a nonempty set of parties")
     if any(not 0 <= q < n for q in keep):
         raise ValueError(f"keep {keep} out of range for {n} parties")
-    mat = _unfoldings(state.tensor(), [keep])[0]
+    mat = _unfold(state.tensor(), keep)
     return mat @ np.conj(mat.T)
 
 

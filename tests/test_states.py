@@ -23,6 +23,7 @@ from qeuler import (
     state_from_schmidt,
     state_from_two_unitary,
 )
+from qeuler import linalg
 
 import frozen
 import oracles
@@ -183,6 +184,27 @@ def test_reduced_density_subset_validation():
         reduced_density(bell(), (0, 0))
     with pytest.raises(ValueError):
         reduced_density(bell(), (5,))
+
+
+def test_one_unfolding_is_transposed_not_gathered(monkeypatch, rng):
+    # reduced_density and schmidt_decompose build and cache no gather index,
+    # and give the bits of the gathered unfolding
+    psi = PureState(dims=(2, 3, 2, 3), amplitudes=random_state_vector(36, rng))
+    sides = [(0,), (1,), (3,), (0, 1), (0, 2), (1, 3), (0, 1, 2), (1, 2, 3)]
+    gathered = [linalg._unfoldings(psi.tensor(), [side])[0] for side in sides]
+
+    def no_index(shape, row_sets):
+        raise AssertionError(f"built an unfolding index for {row_sets}")
+
+    monkeypatch.setattr(linalg, "_unfolding_index", no_index)
+    for side, mat in zip(sides, gathered):
+        rho = reduced_density(psi, side)
+        want = mat @ np.conj(mat.T)
+        assert rho.shape == want.shape and rho.tobytes() == want.tobytes(), side
+        got = schmidt_decompose(psi, side)
+        u, s, vh = np.linalg.svd(mat, full_matrices=True)
+        for a, b in ((got.lambdas, s**2), (got.left_basis, u), (got.right_basis, vh.T)):
+            assert a.shape == b.shape and a.tobytes() == b.tobytes(), side
 
 
 # ---------------------------------------------------------------------------
