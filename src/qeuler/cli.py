@@ -419,15 +419,12 @@ def search_cmd(
         "stop reasons: "
         + ", ".join(f"{reason} {reasons[reason]}" for reason in STOP_REASONS)
     )
-    if summary.n_converged:
-        import statistics
-
-        iters = sorted(
-            n for n, count in summary.iteration_histogram.items() for _ in range(count)
-        )
+    iters = sorted(r.iterations_used for r in runs if r.converged)
+    if iters:
+        median = (iters[(len(iters) - 1) // 2] + iters[len(iters) // 2]) / 2
         click.echo(
             f"converged after iterations: min {iters[0]}, "
-            f"median {_fmt(statistics.median(iters))}, max {iters[-1]}"
+            f"median {_fmt(median)}, max {iters[-1]}"
         )
     best = min(runs, key=lambda r: float(r.defect_trace[-1]))
     if out_path:

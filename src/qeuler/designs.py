@@ -122,6 +122,17 @@ def _integer_symbols(arr):
     raise InvalidDesignError("symbols must be integers")
 
 
+def _integer_fields(obj, names):
+    """Make each named field of a frozen design an int; numpy integers pass."""
+    for name in names:
+        try:
+            object.__setattr__(obj, name, operator.index(getattr(obj, name)))
+        except TypeError:
+            raise InvalidDesignError(
+                f"{name} must be an int, got {getattr(obj, name)!r}"
+            ) from None
+
+
 def _as_cells(cells):
     arr = np.asarray(cells)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] < 1:
@@ -200,13 +211,7 @@ class OrthogonalArray:
     rows: np.ndarray
 
     def __post_init__(self):
-        for name in ("levels", "strength"):
-            try:
-                object.__setattr__(self, name, operator.index(getattr(self, name)))
-            except TypeError:
-                raise InvalidDesignError(
-                    f"{name} must be an int, got {getattr(self, name)!r}"
-                ) from None
+        _integer_fields(self, ("levels", "strength"))
         arr = np.asarray(self.rows)
         if arr.ndim != 2:
             raise DimensionError(f"rows must be a 2-D symbol table, got {arr.shape}")
@@ -215,7 +220,11 @@ class OrthogonalArray:
 
 @dataclass(frozen=True)
 class QuantumOrthogonalArray:
-    """Rows are pure states on n_classical + n_quantum parties of equal level."""
+    """Rows are pure states on n_classical + n_quantum parties of equal level.
+
+    levels, strength, n_classical and n_quantum are ints; anything else is
+    an InvalidDesignError.
+    """
 
     levels: int
     strength: int
@@ -224,6 +233,7 @@ class QuantumOrthogonalArray:
     states: np.ndarray
 
     def __post_init__(self):
+        _integer_fields(self, ("levels", "strength", "n_classical", "n_quantum"))
         arr = np.asarray(self.states, dtype=complex)
         n = self.n_classical + self.n_quantum
         if arr.ndim != 2 or arr.shape[1] != self.levels**n:

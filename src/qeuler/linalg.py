@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -102,11 +102,23 @@ def _subsets(n, k, with_first=False) -> tuple:
     return tuple(rows for rows in subsets if not with_first or rows[0] == 0)
 
 
-# The most entries _marginal_defects gathers into one stack. Beyond it the
+# The most entries _each_unfolding gathers into one stack. Beyond it the
 # unfoldings are taken one at a time and no index is cached: qoa_verify at
 # order 9 has six unfoldings of 531441 entries, a 51 MB stack with a 25 MB
 # index, while the certify chain's stacks hold at most 6 * 36 * 36 entries.
 _STACK_LIMIT = 1 << 16
+
+
+def _each_unfolding(f, t, row_sets) -> np.ndarray:
+    """f of the stack of unfoldings of t (see _unfoldings), one value each.
+
+    f maps a stack of matrices to one value per matrix, each taken from its
+    own matrix alone. Up to _STACK_LIMIT entries the unfoldings are gathered
+    into one stack; beyond it each goes to f alone as a stack of one.
+    """
+    if len(row_sets) * t.size > _STACK_LIMIT:
+        return np.concatenate([f(_unfold(t, rows)[None]) for rows in row_sets])
+    return f(_unfoldings(t, row_sets))
 
 
 def _marginal_defects(t, row_sets, c) -> np.ndarray:
@@ -117,11 +129,7 @@ def _marginal_defects(t, row_sets, c) -> np.ndarray:
     Each unfolding gets the same product and reduction whether it is
     gathered with the others or alone, so the residuals are the same bits.
     """
-    if len(row_sets) * t.size > _STACK_LIMIT:
-        return np.concatenate(
-            [_gram_residuals(_unfold(t, rows)[None], c) for rows in row_sets]
-        )
-    return _gram_residuals(_unfoldings(t, row_sets), c)
+    return _each_unfolding(partial(_gram_residuals, c=c), t, row_sets)
 
 
 def _gram_residuals(m, c) -> np.ndarray:
@@ -324,7 +332,8 @@ def multi_unitarity_check(t, dim: int, half_order: int, tol: float = 1e-10):
     listing only the subsets containing axis 0 covers all inequivalent
     conditions: 3 for half_order 2, 10 for half_order 3. The unfoldings are
     gathered into one stack and their defects taken by one gram_defect
-    call. tol must be a finite number >= 0.
+    call, or beyond _STACK_LIMIT entries each alone, with the same bits.
+    tol must be a finite number >= 0.
     """
     if half_order not in (2, 3):
         raise CapabilityError(
@@ -355,7 +364,7 @@ def _balanced_defects(t, dim, half_order) -> list:
     if not np.isfinite(t).all():
         raise NumericError("tensor has non-finite entries")
     subsets = _subsets(n_axes, half_order, with_first=True)
-    return gram_defect(_unfoldings(t, subsets)).tolist()
+    return _each_unfolding(gram_defect, t, subsets).tolist()
 
 
 def _cards(ranks, suits) -> np.ndarray:

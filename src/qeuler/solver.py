@@ -14,6 +14,7 @@ import cmath
 import math
 import operator
 import os
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
 
@@ -149,18 +150,25 @@ class SearchConfig:
 
 @dataclass(frozen=True)
 class SearchRun:
-    """Outcome of one seed: defect trace, terminal unitary, convergence flag.
+    """Outcome of one seed: defect trace, terminal unitary, why it stopped.
 
     stop_reason is one of STOP_REASONS: "converged" when the defect fell to
-    tol, "stalled" when the trace stopped moving, "max_iter" otherwise.
+    tol, "stalled" when the trace stopped moving, "max_iter" otherwise. The
+    convergence flag and the iteration count are read off it and the trace.
     """
 
     seed: dict
     defect_trace: np.ndarray
-    iterations_used: int
-    converged: bool
     terminal: np.ndarray
     stop_reason: str
+
+    @property
+    def converged(self) -> bool:
+        return self.stop_reason == "converged"
+
+    @property
+    def iterations_used(self) -> int:
+        return len(self.defect_trace) - 1
 
 
 @dataclass(frozen=True)
@@ -168,10 +176,16 @@ class SearchSummary:
     """Aggregate of a multi-seed sweep."""
 
     n_runs: int
-    n_converged: int
-    convergence_rate: float
     best_defect: float
-    iteration_histogram: dict  # iterations_used -> count, converged runs only
+    iteration_histogram: Counter  # iterations_used -> converged runs, ascending
+
+    @property
+    def n_converged(self) -> int:
+        return sum(self.iteration_histogram.values())
+
+    @property
+    def convergence_rate(self) -> float:
+        return self.n_converged / self.n_runs
 
 
 def _haar_unitary(n: int, rng) -> np.ndarray:
@@ -274,9 +288,10 @@ def _lockstep(config: SearchConfig, rng_seeds) -> list:
     SVD of the iterates and one of the reshuffles. Each run keeps its own
     trace and stop reason, and leaves the stack when it stops, before the
     next step; the reshuffle spectra of the last three steps, which the
-    stall test compares, lose its row at the same time. Every operation acts
-    on each matrix of the stack on its own, so a run's numbers do not depend
-    on the other runs beside it.
+    stall test compares, lose its row at the same time. Where several stop
+    conditions hold at once, the first in STOP_REASONS names the stop.
+    Every operation acts on each matrix of the stack on its own, so a run's
+    numbers do not depend on the other runs beside it.
     """
     x = np.stack([seed_matrix(config, np.random.default_rng(r)) for r in rng_seeds])
     if not np.all(np.isfinite(x)):
@@ -296,31 +311,23 @@ def _lockstep(config: SearchConfig, rng_seeds) -> list:
         else:
             fixed = [False] * len(live)
         past.append(s)
-        stopped = []
-        for r, (i, value) in enumerate(zip(live, defect.tolist())):
-            trace = traces[i]
-            trace.append(value)
-            if value <= config.tol:
-                reason = "converged"
-            elif fixed[r]:
-                reason = "stalled"
-            elif n == config.resolved_max_iter:
-                reason = "max_iter"
-            else:
+        last = n == config.resolved_max_iter
+        keep = []  # the rows of the runs that go on
+        for r, (i, value, stalled) in enumerate(zip(live, defect.tolist(), fixed)):
+            traces[i].append(value)
+            holds = (value <= config.tol, stalled, last)  # in the order of STOP_REASONS
+            if not any(holds):
+                keep.append(r)
                 continue
             runs[i] = SearchRun(
                 seed={**config.describe_seed(), "rng_seed": rng_seeds[i]},
-                defect_trace=np.array(trace),
-                iterations_used=n,
-                converged=reason == "converged",
+                defect_trace=np.array(traces[i]),
                 terminal=v[r].copy(),
-                stop_reason=reason,
+                stop_reason=STOP_REASONS[holds.index(True)],
             )
-            stopped.append(r)
-        if len(stopped) == len(live):
+        if not keep:
             return runs
-        if stopped:
-            keep = [r for r in range(len(live)) if r not in stopped]
+        if len(keep) < len(live):  # copying the stack on every step would cost time
             live = [live[r] for r in keep]
             x = x[keep]
             past = [p[keep] for p in past]
@@ -361,17 +368,10 @@ def multi_seed_search(config: SearchConfig, n_seeds: int, jobs: int | None = Non
         with ThreadPoolExecutor(max_workers=workers) as pool:
             run_batch = partial(_lockstep, config)
             runs = [run for batch in pool.map(run_batch, batches) for run in batch]
-    n_conv = sum(r.converged for r in runs)
-    hist = {}
-    for r in runs:
-        if r.converged:
-            hist[r.iterations_used] = hist.get(r.iterations_used, 0) + 1
     summary = SearchSummary(
         n_runs=n_seeds,
-        n_converged=n_conv,
-        convergence_rate=n_conv / n_seeds,
         best_defect=min(float(r.defect_trace[-1]) for r in runs),
-        iteration_histogram=dict(sorted(hist.items())),
+        iteration_histogram=Counter(sorted(r.iterations_used for r in runs if r.converged)),
     )
     return runs, summary
 

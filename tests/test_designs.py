@@ -774,3 +774,16 @@ def test_qoa_strength_out_of_range():
     )
     with pytest.raises(DimensionError):
         qoa_verify(arr)
+
+
+@pytest.mark.parametrize("field", ["levels", "strength", "n_classical", "n_quantum"])
+def test_qoa_integer_fields_are_checked(field):
+    # a float used to pass here and fail later in qoa_verify with a bare TypeError
+    states = np.zeros((2, 16), dtype=complex)
+    states[:, 0] = 1.0
+    fields = dict(levels=2, strength=2, n_classical=2, n_quantum=2)
+    with pytest.raises(InvalidDesignError, match=f"{field} must be an int"):
+        QuantumOrthogonalArray(**{**fields, field: 2.0}, states=states)
+    cast = QuantumOrthogonalArray(**{**fields, field: np.int64(2)}, states=states)
+    assert type(getattr(cast, field)) is int
+    assert not qoa_verify(cast).passed

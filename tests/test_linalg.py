@@ -18,6 +18,7 @@ from qeuler import (
     unitarity_defect,
 )
 
+from qeuler import linalg
 from qeuler.linalg import _subsets, _subtract_diagonal, gram_defect
 
 import frozen
@@ -345,6 +346,28 @@ def test_multi_unitarity_is_exact_on_binary_tensors(p9, rng):
     exact = [rows for rows, v in identity if v == 0.0]
     assert exact == [rows for rows, _ in identity if len({q % 3 for q in rows}) == 3]
     assert len(exact) == 4
+
+
+def test_large_unfoldings_are_each_taken_alone_bit_for_bit(rng, monkeypatch):
+    # beyond linalg._STACK_LIMIT entries the unfoldings are taken one at a
+    # time with no cached index; each defect keeps the bits of one stack
+    m = rng.standard_normal((256, 256)) + 1j * rng.standard_normal((256, 256))
+    t = rng.standard_normal(5**6) + 1j * rng.standard_normal(5**6)
+    assert 3 * m.size > linalg._STACK_LIMIT and 10 * t.size > linalg._STACK_LIMIT
+    before = linalg._unfolding_index.cache_info()
+    worst = two_unitarity_defect(m)
+    alone = [
+        [x.hex() for x in linalg._balanced_defects(m, 16, 2)],
+        [v.hex() for _, v in multi_unitarity_check(t, 5, 3).defects],
+    ]
+    assert linalg._unfolding_index.cache_info() == before
+    monkeypatch.setattr(linalg, "_STACK_LIMIT", 10 * t.size)
+    stacked = [
+        [x.hex() for x in linalg._balanced_defects(m, 16, 2)],
+        [x.hex() for x in linalg._balanced_defects(t, 5, 3)],
+    ]
+    assert alone == stacked
+    assert worst.hex() == max(alone[0], key=float.fromhex)
 
 
 def test_multi_unitarity_rejects_non_finite_tensors():

@@ -113,14 +113,19 @@ def test_base_loads_the_fields_only_where_it_builds_one(d, needs):
     assert loaded & OPTIONAL == needs
 
 
-def test_order_four_search_command_loads_only_what_it_runs():
-    loaded, result = fresh(
+def search_command(dim):
+    """(modules loaded, exit code) of `qeuler search --dim dim --seeds 2`, run fresh."""
+    return fresh(
         "from qeuler.cli import main\n"
         "try:\n"
-        "    main(['search', '--dim', '2', '--seeds', '2'], prog_name='qeuler')\n"
+        f"    main(['search', '--dim', '{dim}', '--seeds', '2'], prog_name='qeuler')\n"
         "except SystemExit as exit:\n"
         "    result = exit.code\n"
     )
+
+
+def test_order_four_search_command_loads_only_what_it_runs():
+    loaded, result = search_command(2)
     assert result == 1  # no 2-unitary of order 4 exists
     assert loaded == {
         "qeuler",
@@ -130,6 +135,22 @@ def test_order_four_search_command_loads_only_what_it_runs():
         "qeuler.linalg",
         "qeuler.solver",
     }
+
+
+def test_converged_search_command_loads_only_what_it_runs():
+    # two seeds of order 9 stay below THREAD_MIN_SHARE, so no pool starts
+    loaded, result = search_command(3)
+    assert result == 0  # both seeds converge
+    assert loaded == {
+        "qeuler",
+        "qeuler.cli",
+        "qeuler.designs",
+        "qeuler.errors",
+        "qeuler.gf",
+        "qeuler.jsonio",
+        "qeuler.linalg",
+        "qeuler.solver",
+    }  # and not statistics, which the median took before
 
 
 def test_first_threaded_sweep_of_a_process_equals_one_batch():

@@ -1,6 +1,7 @@
 import json
 import math
 import time
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -34,7 +35,7 @@ from qeuler import (
 )
 from qeuler import jsonio, solver
 from qeuler.linalg import robust_svd
-from qeuler.solver import THREAD_MIN_SHARE
+from qeuler.solver import STOP_REASONS, THREAD_MIN_SHARE
 
 import frozen
 import oracles
@@ -423,6 +424,51 @@ def test_already_solved_seed_stops_as_converged(p9):
     run = search(SearchConfig(d=3, epsilon=0.0, base_matrix=p9))
     assert run.stop_reason == "converged"
     assert run.converged
+
+
+def test_first_stop_reason_wins_where_two_hold():
+    assert STOP_REASONS == ("converged", "stalled", "max_iter")
+    # the built-in order-9 base is 2-unitary: converged and at the cap at 0
+    run = search(SearchConfig(d=3, epsilon=0.0, max_iter=0))
+    assert (run.stop_reason, run.iterations_used, run.converged) == ("converged", 0, True)
+    # this order-4 seed stalls at iteration 6; capped there, it still stalls
+    free = search(SearchConfig(d=2, rng_seed=0))
+    capped = search(SearchConfig(d=2, rng_seed=0, max_iter=6))
+    assert (free.stop_reason, free.iterations_used) == ("stalled", 6)
+    assert (capped.stop_reason, capped.iterations_used) == ("stalled", 6)
+    assert capped.defect_trace.tobytes() == free.defect_trace.tobytes()
+    # where only the cap holds, it names the stop
+    run = search(SearchConfig(d=2, max_iter=0))
+    assert (run.stop_reason, run.iterations_used, run.converged) == ("max_iter", 0, False)
+
+
+def test_mixed_sweep_counts_agree_with_its_runs():
+    # capped at 20, these order-9 seeds converge at 18, 19 and 20 (at 20 the
+    # cap holds too) and one is still above tol at the cap
+    config = SearchConfig(d=3, epsilon=0.7, max_iter=20)
+    runs, summary = multi_seed_search(config, 10)
+    assert {r.stop_reason for r in runs} == {"converged", "max_iter"}
+    for r in runs:
+        assert r.converged == (r.stop_reason == "converged")
+        assert r.converged == (r.defect_trace[-1] <= config.tol)
+        assert r.iterations_used == len(r.defect_trace) - 1
+    iters = [r.iterations_used for r in runs if r.converged]
+    assert sorted(set(iters)) == [18, 19, 20]
+    assert summary.n_converged == len(iters) == 9
+    assert summary.convergence_rate == len(iters) / 10
+    assert summary.iteration_histogram == Counter(iters)
+    assert list(summary.iteration_histogram) == [18, 19, 20]
+    doc = json.loads(json.dumps(jsonio.search_result_to_json(config, runs, summary)))
+    rows = [(row["converged"], row["iterations_used"], row["stop_reason"]) for row in doc["runs"]]
+    assert rows == [(r.converged, r.iterations_used, r.stop_reason) for r in runs]
+    assert doc["summary"] == {
+        "n_runs": 10,
+        "n_converged": 9,
+        "convergence_rate": 0.9,
+        "best_defect": min(float(r.defect_trace[-1]) for r in runs),
+        "iteration_histogram": {str(k): iters.count(k) for k in (18, 19, 20)},
+    }
+    assert list(doc["summary"]["iteration_histogram"]) == ["18", "19", "20"]
 
 
 def test_stalled_sweep_is_schedule_independent(monkeypatch):
