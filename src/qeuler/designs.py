@@ -10,7 +10,6 @@ encoding of a pair is the order-d*d matrix with a single 1 at
 from __future__ import annotations
 
 import itertools
-import operator
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -22,16 +21,17 @@ from .errors import (
     NotAnOlsError,
     NotAPrimePowerError,
     NumericError,
+    _integer,
 )
 from .gf import _field_cached, prime_power_decompose
 from .linalg import (
     _card_permutation,
     _cards,
     _check_tol,
+    _each_unfolding,
     _frobenius,
+    _gram_residual,
     _marginal_defects,
-    _subtract_diagonal,
-    _unfoldings,
     block_dim,
     gram_defect,
 )
@@ -125,12 +125,8 @@ def _integer_symbols(arr):
 def _integer_fields(obj, names):
     """Make each named field of a frozen design an int; numpy integers pass."""
     for name in names:
-        try:
-            object.__setattr__(obj, name, operator.index(getattr(obj, name)))
-        except TypeError:
-            raise InvalidDesignError(
-                f"{name} must be an int, got {getattr(obj, name)!r}"
-            ) from None
+        value = _integer(name, getattr(obj, name), InvalidDesignError)
+        object.__setattr__(obj, name, value)
 
 
 def _as_cells(cells):
@@ -267,6 +263,7 @@ class FunctionTables(NamedTuple):
 
 def cyclic_latin(d: int) -> np.ndarray:
     """The cyclic Latin square with (i + j) mod d in cell (i, j)."""
+    d = _integer("d", d, DimensionError)
     if d < 1:
         raise DimensionError(f"order must be positive, got {d}")
     i = np.arange(d, dtype=np.int64)
@@ -296,6 +293,7 @@ def mols_construct(q: int) -> list:
     a*x + y in cell (x, y), computed in GF(q). The q - 1 squares returned are
     pairwise orthogonal, which is the largest possible family.
     """
+    q = _integer("q", q, DimensionError)
     if q == 6:
         raise NotAPrimePowerError(
             "no pair of orthogonal Latin squares of order 6 exists, "
@@ -455,10 +453,11 @@ def qls_verify(square: QuantumSquare, tol: float = 1e-10) -> DesignReport:
 
 
 # qols_verify reads the cells as a tensor [row, col, p, q], p and q the two
-# parties of a cell, and gathers six of its unfoldings A (linalg._unfoldings:
-# these axes as rows, the others as columns), all of order d*d. Rows (0, 1)
-# give the matrix whose rows are the cells, so A A* - I is Q1. Rows (2, 3)
-# give its transpose, whose A A* sums |cell><cell| over the cells: its
+# parties of a cell, and takes six of its unfoldings A (linalg._unfoldings:
+# these axes as rows, the others as columns), all of order d*d, and the Gram
+# residual of each A^T: the conjugate of A A* - I, with the same norms. Rows
+# (0, 1) give the matrix whose rows are the cells, so A A* - I is Q1. Rows
+# (2, 3) give its transpose, whose A A* sums |cell><cell| over the cells: its
 # distance from I is Q1-completeness. Rows (0, 2) pair a row i with party p,
 # so block (i, j) of A A* sums the overlaps of the cells of rows i and j with
 # party q traced out: Q2-rows-trB. Rows (0, 3) trace out party p instead
@@ -478,11 +477,12 @@ def qols_verify(square: QuantumSquare, tol: float = 1e-10) -> DesignReport:
       Q3-cols-trB / Q3-cols-trA   the same for columns.
     A Q2/Q3 violation names the worst pair (i, j), the first in row-major
     order on ties. The report's max_residual aggregates the families by
-    their maximum. All six families are unfoldings A of the cells, gathered
-    into one stack, and one stacked product A A* gives them all: Q1 and its
-    completeness are the Frobenius distances of its first two matrices from
-    the identity, the four overlap families the worst d x d block of the
-    other four. tol must be a finite number >= 0.
+    their maximum. All six families are unfoldings A of the cells, and the
+    Gram residuals of their transposes give them all: Q1 and its
+    completeness are the Frobenius norms of the first two, the four overlap
+    families the worst d x d block of the other four. The unfoldings go
+    through linalg._each_unfolding, so beyond its _STACK_LIMIT each is
+    taken alone, with the same bits. tol must be a finite number >= 0.
     """
     _check_tol(tol)
     d = square.d
@@ -491,9 +491,8 @@ def qols_verify(square: QuantumSquare, tol: float = 1e-10) -> DesignReport:
             f"cells live in C**{square.cell_dim}, need C**{d * d} "
             "for the two-party conditions"
         )
-    a = _unfoldings(square.cells.reshape(d, d, d, d), _QOLS_ROWS)
-    g = a @ a.conj().swapaxes(-1, -2)
-    _subtract_diagonal(g, 1.0)
+    t = square.cells.reshape(d, d, d, d)
+    g = _each_unfolding(lambda a: _gram_residual(a.swapaxes(-1, -2)), t, _QOLS_ROWS)
     q1, complete = _frobenius(g[:2], (-2, -1)).tolist()
     worst = {"Q1": (q1, ()), "Q1-completeness": (complete, ())}
     # g[2 + family] read as [i, p, j, q]: block (i, j) is g[2 + family, i, :, j, :]

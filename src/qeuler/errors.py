@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and its one integer check."""
+
+import operator
 
 
 class QeulerError(Exception):
@@ -31,3 +33,11 @@ class NotAnOlsError(InvalidDesignError):
 
 class FormatError(QeulerError, ValueError):
     """A serialized artifact violates its documented JSON layout."""
+
+
+def _integer(name, value, error=ValueError) -> int:
+    """value as an int; numpy integers pass, and anything else raises error."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise error(f"{name} must be an int, got {value!r}") from None

@@ -6,7 +6,8 @@ first), and each element carries an integer label sum(c_i * p**i) in
 [0, q); the label order doubles as the symbol order used by the Latin-square
 constructions. The modulus is the first irreducible found when monic
 polynomials are enumerated in increasing label order of their non-leading
-coefficients, i.e. the lexicographically smallest one.
+coefficients, i.e. the lexicographically smallest one. Orders must be ints:
+numpy integers pass, and anything else is a DimensionError.
 """
 
 from __future__ import annotations
@@ -14,13 +15,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import NotAPrimePowerError
+from .errors import DimensionError, NotAPrimePowerError, _integer
 
 __all__ = ["Field", "FieldElement", "is_prime", "prime_power_decompose"]
 
 
 def is_prime(m: int) -> bool:
     """Primality by trial division; fine for the tiny orders used here."""
+    m = _integer("m", m, DimensionError)
     if m < 2:
         return False
     f = 2
@@ -33,6 +35,7 @@ def is_prime(m: int) -> bool:
 
 def prime_power_decompose(q: int):
     """(p, n) with q == p**n and p prime, or None if q is not a prime power."""
+    q = _integer("q", q, DimensionError)
     if q < 2:
         return None
     p = 2

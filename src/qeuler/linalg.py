@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import lru_cache
 
 import numpy as np
 
@@ -105,14 +105,15 @@ def _subsets(n, k, with_first=False) -> tuple:
 # The most entries _each_unfolding gathers into one stack. Beyond it the
 # unfoldings are taken one at a time and no index is cached: qoa_verify at
 # order 9 has six unfoldings of 531441 entries, a 51 MB stack with a 25 MB
-# index, while the certify chain's stacks hold at most 6 * 36 * 36 entries.
+# index. qols_verify passes it from order 121 (d = 11) on, while the certify
+# chain's stacks hold at most 6 * 36 * 36 entries.
 _STACK_LIMIT = 1 << 16
 
 
 def _each_unfolding(f, t, row_sets) -> np.ndarray:
-    """f of the stack of unfoldings of t (see _unfoldings), one value each.
+    """f of the stack of unfoldings of t (see _unfoldings), one result each.
 
-    f maps a stack of matrices to one value per matrix, each taken from its
+    f maps a stack of matrices to one result per matrix, each taken from its
     own matrix alone. Up to _STACK_LIMIT entries the unfoldings are gathered
     into one stack; beyond it each goes to f alone as a stack of one.
     """
@@ -126,17 +127,11 @@ def _marginal_defects(t, row_sets, c) -> np.ndarray:
 
     For a state tensor M M* is the reduced density matrix of the row axes,
     so these are the distances of its marginals from c times the identity.
-    Each unfolding gets the same product and reduction whether it is
-    gathered with the others or alone, so the residuals are the same bits.
+    Each is the Gram defect of the view M^T: (M^T)* M^T - c I is the conjugate
+    of M M* - c I, so the norms are the same bits, and so are those of an
+    unfolding gathered with the others and taken alone.
     """
-    return _each_unfolding(partial(_gram_residuals, c=c), t, row_sets)
-
-
-def _gram_residuals(m, c) -> np.ndarray:
-    """Frobenius norms of M M* - c I over a stack of matrices M."""
-    g = m @ m.conj().swapaxes(-1, -2)
-    _subtract_diagonal(g, c)
-    return _frobenius(g, (-2, -1))
+    return _each_unfolding(lambda m: gram_defect(m.swapaxes(-1, -2), c), t, row_sets)
 
 
 def reshuffle(m, dual: bool = False) -> np.ndarray:
@@ -254,8 +249,8 @@ def unitarity_defect(m) -> float:
     return gram_defect(m)
 
 
-def gram_defect(m):
-    """Frobenius norm of m* m - I: whether the columns of m are orthonormal.
+def gram_defect(m, c=1.0):
+    """Frobenius norm of m* m - c I; with c = 1, whether m has orthonormal columns.
 
     m is a finite complex n x k matrix, or a stack of them along leading
     axes, which gives an array of defects, one per matrix. The unchecked core
@@ -265,10 +260,15 @@ def gram_defect(m):
     gives exactly 0.0. The reduction is the one np.linalg.norm makes for
     axis=(-2, -1), so the defects are the same bits as its.
     """
-    g = m.conj().swapaxes(-1, -2) @ m
-    _subtract_diagonal(g, 1.0)
-    defect = _frobenius(g, (-2, -1))
+    defect = _frobenius(_gram_residual(m, c), (-2, -1))
     return float(defect) if defect.ndim == 0 else defect
+
+
+def _gram_residual(m, c=1.0) -> np.ndarray:
+    """m* m - c I for a matrix m or every matrix of a stack: the one Gram formula."""
+    g = m.conj().swapaxes(-1, -2) @ m
+    _subtract_diagonal(g, c)
+    return g
 
 
 def _subtract_diagonal(g, c) -> None:

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import cmath
 import math
-import operator
 import os
 from collections import Counter
 from dataclasses import dataclass, field
@@ -20,7 +19,7 @@ from functools import lru_cache, partial
 
 import numpy as np
 
-from .errors import CapabilityError, DimensionError, NumericError
+from .errors import CapabilityError, DimensionError, NumericError, _integer
 from .linalg import (
     _card_permutation,
     _cards,
@@ -86,14 +85,6 @@ STALL_RTOL = 1e-10
 # order n = d*d. Smaller shares measured faster as one batch in the calling
 # thread, larger ones faster split.
 THREAD_MIN_SHARE = 256
-
-
-def _integer(name, value, error=ValueError) -> int:
-    """value as an int; numpy integers pass, and anything else raises error."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise error(f"{name} must be an int, got {value!r}") from None
 
 
 @dataclass(frozen=True)
@@ -576,11 +567,7 @@ def amplitude_profile(m, tol: float = 1e-9) -> list:
     """
     mags = np.sort(np.abs(np.asarray(m, dtype=complex)).ravel())
     mags = mags[mags > tol]
-    groups = []
-    start = 0
-    for i in range(1, len(mags) + 1):
-        if i == len(mags) or mags[i] - mags[i - 1] > tol:
-            chunk = mags[start:i]
-            groups.append((float(chunk.mean()), int(chunk.size)))
-            start = i
-    return groups
+    if not mags.size:
+        return []
+    chunks = np.split(mags, np.flatnonzero(np.diff(mags) > tol) + 1)
+    return [(float(chunk.mean()), int(chunk.size)) for chunk in chunks]

@@ -759,6 +759,27 @@ def test_large_qoa_verify_is_each_subset_alone_bit_for_bit(rng, monkeypatch):
     assert all(float.fromhex(x) > 1e-3 for x in got)
 
 
+def test_large_qols_verify_is_each_unfolding_alone_bit_for_bit(rng, monkeypatch):
+    # from order 121 on the six unfoldings of the cells hold more than
+    # linalg._STACK_LIMIT entries, so they are taken one at a time with no
+    # cached index; the report keeps the bits of one gathered stack
+    rows = random_unitary(121, rng) + 1e-3 * rng.standard_normal((121, 121))
+    square = square_from_unitary_rows(rows)
+    assert 6 * square.cells.size > linalg._STACK_LIMIT
+    before = linalg._unfolding_index.cache_info()
+    alone = qols_verify(square, tol=1e-2)
+    assert linalg._unfolding_index.cache_info() == before
+    monkeypatch.setattr(linalg, "_STACK_LIMIT", 6 * square.cells.size)
+    stacked = qols_verify(square, tol=1e-2)
+    assert linalg._unfolding_index.cache_info() != before
+    for report in (alone, stacked):
+        assert len(report.violations) == 6
+    assert [x.hex() for x in alone.family_residuals.values()] == [
+        x.hex() for x in stacked.family_residuals.values()
+    ]
+    assert alone == stacked
+
+
 def test_qoa_detects_non_uniform_marginals():
     arr = qoa_from_qols(square_from_unitary_rows(np.eye(9)))
     report = qoa_verify(arr)

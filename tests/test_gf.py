@@ -1,8 +1,17 @@
 import itertools
 
+import numpy as np
 import pytest
 
-from qeuler import Field, NotAPrimePowerError, is_prime, prime_power_decompose
+from qeuler import (
+    DimensionError,
+    Field,
+    NotAPrimePowerError,
+    cyclic_latin,
+    is_prime,
+    mols_construct,
+    prime_power_decompose,
+)
 
 import frozen
 import oracles
@@ -19,6 +28,30 @@ def test_prime_power_decomposition():
     assert prime_power_decompose(7) == (7, 1)
     for not_pp in (1, 6, 10, 12, 36, 0, -4):
         assert prime_power_decompose(not_pp) is None
+
+
+@pytest.mark.parametrize(
+    "order, call",
+    [
+        (7, is_prime),
+        (9, prime_power_decompose),
+        (8, Field),
+        (5, cyclic_latin),
+        (9, mols_construct),
+    ],
+)
+def test_orders_must_be_integers(order, call):
+    # a float order used to pass through: is_prime(2.5) was True,
+    # prime_power_decompose(7.5) was (7.5, 1), cyclic_latin(2.5) held 0.5
+    # and 1.5, and mols_construct(9.0) and Field(7.5) raised a bare TypeError
+    for bad in (order + 0.5, float(order), str(order), None):
+        with pytest.raises(DimensionError, match="must be an int"):
+            call(bad)
+    got, want = call(np.int64(order)), call(order)
+    if call is Field:
+        assert (got.p, got.n, got.modulus) == (want.p, want.n, want.modulus)
+    else:
+        assert np.array_equal(got, want)
 
 
 def test_moduli_are_the_frozen_smallest_irreducibles():

@@ -220,6 +220,37 @@ def test_gram_defect_is_the_norm_formula_bit_for_bit(rng):
             assert type(got) is float
 
 
+@pytest.mark.parametrize(
+    "shape, row_sets, c",
+    [
+        # balanced unfoldings of an order-9 matrix, unitarity: c = 1
+        ((3, 3, 3, 3), [(0, 1), (0, 2), (0, 3)], 1.0),
+        # two-party marginals of a state of unequal parties, c = 1/dk
+        ((2, 3, 2, 3), [(0, 1), (0, 3), (1, 2), (2, 3)], 1 / 6),
+        ((2, 3, 4), [(2,)], 1 / 4),
+        # qoa_verify's marginals with the run axis 0 among the columns,
+        # c = runs / levels**k
+        ((9, 3, 3, 3, 3), list(itertools.combinations(range(1, 5), 2)), 9 / 3**2),
+    ],
+)
+def test_marginal_defects_are_the_row_gram_formula_bit_for_bit(
+    shape, row_sets, c, rng, monkeypatch
+):
+    # _marginal_defects takes the Gram defect of each transposed unfolding;
+    # it must keep the bits of ||M M* - c I|| over the unfoldings M
+    t = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    want = []
+    for rows in row_sets:
+        cols = tuple(q for q in range(t.ndim) if q not in rows)
+        m = t.transpose(rows + cols).reshape(math.prod(shape[q] for q in rows), -1)
+        g = m @ m.conj().T
+        want.append(np.linalg.norm(g - c * np.eye(len(g)), axis=(-2, -1)).hex())
+    for limit in (0, len(row_sets) * t.size):  # one at a time, then gathered
+        monkeypatch.setattr(linalg, "_STACK_LIMIT", limit)
+        got = linalg._marginal_defects(t, row_sets, c).tolist()
+        assert [x.hex() for x in got] == want
+
+
 def test_subtract_diagonal_is_the_identity_subtraction_bit_for_bit(rng):
     for shape in ((4, 4), (3, 9, 9), (2, 5, 16, 16), (6, 36, 36)):
         g = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
