@@ -137,6 +137,11 @@ def _print_report(label, report):
 # ---------------------------------------------------------------------------
 # command tree
 
+# the required input file of the design and state commands that read one
+_IN_FILE = click.option(
+    "--in", "in_path", type=click.Path(exists=True, dir_okay=False), required=True
+)
+
 
 @click.group()
 def main():
@@ -209,12 +214,7 @@ def _verify_dispatch(kind, obj, tol):
 
 
 @design.command("verify")
-@click.option(
-    "--in",
-    "in_path",
-    type=click.Path(exists=True, dir_okay=False),
-    required=True,
-)
+@_IN_FILE
 @click.option("--tol", type=float, default=1e-10, show_default=True)
 @_guarded
 def design_verify(in_path, tol):
@@ -229,12 +229,7 @@ def design_verify(in_path, tol):
 
 
 @design.command("encode")
-@click.option(
-    "--in",
-    "in_path",
-    type=click.Path(exists=True, dir_okay=False),
-    required=True,
-)
+@_IN_FILE
 @click.option("--out", "out_path", type=click.Path(dir_okay=False), default=None)
 @_guarded
 def design_encode(in_path, out_path):
@@ -254,12 +249,7 @@ def state():
 
 @state.command("build")
 @click.option("--from", "source", type=click.Choice(("ols", "matrix")), required=True)
-@click.option(
-    "--in",
-    "in_path",
-    type=click.Path(exists=True, dir_okay=False),
-    required=True,
-)
+@_IN_FILE
 @click.option("--out", "out_path", type=click.Path(dir_okay=False), default=None)
 @_guarded
 def state_build(source, in_path, out_path):
@@ -279,12 +269,7 @@ def state_build(source, in_path, out_path):
 
 
 @state.command("check")
-@click.option(
-    "--in",
-    "in_path",
-    type=click.Path(exists=True, dir_okay=False),
-    required=True,
-)
+@_IN_FILE
 @click.option(
     "--k",
     type=int,

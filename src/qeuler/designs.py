@@ -154,13 +154,6 @@ class OrthogonalLatinPair:
         return self.ranks.shape[0]
 
 
-def _finite_cells(arr):
-    """arr itself, once it is known to hold no NaN or infinite entry."""
-    if not np.isfinite(arr).all():
-        raise NumericError("cells contain non-finite values")
-    return arr
-
-
 @dataclass(frozen=True)
 class QuantumSquare:
     """A d x d grid of state vectors, cells[r, c] in C**cell_dim."""
@@ -173,17 +166,9 @@ class QuantumSquare:
             raise DimensionError(
                 f"expected cells of shape (d, d, cell_dim), got {arr.shape}"
             )
-        object.__setattr__(self, "cells", _finite_cells(arr))
-
-    @classmethod
-    def _unchecked(cls, cells):
-        """The square without __post_init__'s checks, for callers that ran them.
-
-        cells must be a finite complex array of shape (d, d, cell_dim).
-        """
-        square = object.__new__(cls)
-        object.__setattr__(square, "cells", cells)
-        return square
+        if not np.isfinite(arr).all():
+            raise NumericError("cells contain non-finite values")
+        object.__setattr__(self, "cells", arr)
 
     @property
     def d(self) -> int:
@@ -346,14 +331,16 @@ def verify_orthogonal_pair(pair: OrthogonalLatinPair) -> DesignReport:
     return _report("ols", 0.0, _balance_violations(runs, d, 1, _PAIR_CONDITIONS))
 
 
+def _require_orthogonal(pair, error, what) -> None:
+    """Raise error, its message led by what, unless verify_orthogonal_pair passes pair."""
+    violations = verify_orthogonal_pair(pair).violations
+    if violations:
+        raise error(f"{what}: {len(violations)} violation(s), first {violations[0]}")
+
+
 def ols_function_tables(pair: OrthogonalLatinPair) -> FunctionTables:
     """The three cell functions of a valid pair, each a bijection on [0,d)^2."""
-    report = verify_orthogonal_pair(pair)
-    if not report.passed:
-        raise InvalidDesignError(
-            f"pair is not orthogonal Latin: {len(report.violations)} violation(s), "
-            f"first {report.violations[0]}"
-        )
+    _require_orthogonal(pair, InvalidDesignError, "pair is not orthogonal Latin")
     v, s = pair.ranks, pair.suits
     r, c = np.indices(v.shape)
     f1 = np.stack((v, s), axis=-1)
@@ -371,12 +358,7 @@ def ols_to_permutation(pair: OrthogonalLatinPair) -> np.ndarray:
     r*d + c, at row v*d + s. The result is an integer 0/1 matrix and, because
     the pair is orthogonal Latin, a 2-unitary permutation.
     """
-    report = verify_orthogonal_pair(pair)
-    if not report.passed:
-        raise NotAnOlsError(
-            f"cannot encode: {len(report.violations)} violation(s), "
-            f"first {report.violations[0]}"
-        )
+    _require_orthogonal(pair, NotAnOlsError, "cannot encode")
     return _card_permutation(_cards(pair.ranks, pair.suits))
 
 
@@ -402,12 +384,8 @@ def permutation_to_ols(m) -> OrthogonalLatinPair:
     # column r*d + c holds its 1 in the row of its card v*d + s
     ranks, suits = divmod(arr.argmax(axis=0).reshape(d, d), d)
     pair = OrthogonalLatinPair(ranks=ranks, suits=suits)
-    report = verify_orthogonal_pair(pair)
-    if not report.passed:
-        raise NotAnOlsError(
-            "permutation decodes to squares that are not an orthogonal Latin "
-            f"pair: {len(report.violations)} violation(s), first {report.violations[0]}"
-        )
+    what = "permutation decodes to squares that are not an orthogonal Latin pair"
+    _require_orthogonal(pair, NotAnOlsError, what)
     return pair
 
 
@@ -429,12 +407,12 @@ def square_from_unitary_rows(u) -> QuantumSquare:
     """Arrange the rows of an order d*d matrix into a d x d quantum square.
 
     Row i*d + j becomes cell (i, j). When u is 2-unitary the result satisfies
-    every quantum Graeco-Latin condition. The matrix is converted and
-    checked once, here: a non-finite entry raises NumericError.
+    every quantum Graeco-Latin condition; a non-finite entry raises
+    NumericError, as the QuantumSquare constructor checks the cells.
     """
-    arr = np.asarray(u, dtype=complex)
+    arr = np.asarray(u)
     d = block_dim(arr)
-    return QuantumSquare._unchecked(_finite_cells(arr.reshape(d, d, d * d)))
+    return QuantumSquare(cells=arr.reshape(d, d, d * d))
 
 
 def qls_verify(square: QuantumSquare, tol: float = 1e-10) -> DesignReport:

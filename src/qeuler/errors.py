@@ -36,8 +36,10 @@ class FormatError(QeulerError, ValueError):
 
 
 def _integer(name, value, error=ValueError) -> int:
-    """value as an int; numpy integers pass, and anything else raises error."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise error(f"{name} must be an int, got {value!r}") from None
+    """value as an int; numpy integers pass, and a bool or anything else raises error."""
+    if not isinstance(value, bool):  # operator.index(True) is 1
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise error(f"{name} must be an int, got {value!r}")

@@ -14,7 +14,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import FormatError
+from .errors import FormatError, _integer
 
 # The design and state readers import their classes when called, so that
 # reading and writing matrices and search results loads neither module.
@@ -53,11 +53,6 @@ def _pairs(arr) -> list:
     return [[float(z.real), float(z.imag)] for z in flat]
 
 
-def _is_int(x) -> bool:
-    """An integer that is not a bool (bool is a subclass of int in Python)."""
-    return isinstance(x, int) and not isinstance(x, bool)
-
-
 def _unpairs(entries, expected, what) -> np.ndarray:
     if not isinstance(entries, list):
         raise FormatError(f"{what}: entries must be a list")
@@ -70,7 +65,7 @@ def _unpairs(entries, expected, what) -> np.ndarray:
         if (
             not isinstance(pair, (list, tuple))
             or len(pair) != 2
-            or not all(_is_int(x) or isinstance(x, float) for x in pair)
+            or not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in pair)
         ):
             raise FormatError(f"{what}: entry {idx} is not a [re, im] pair")
         out[idx] = complex(pair[0], pair[1])
@@ -84,8 +79,9 @@ def _need(obj, key, what):
 
 
 def _need_int(obj, key, what, minimum=1):
-    value = _need(obj, key, what)
-    if not _is_int(value) or value < minimum:
+    """obj[key] as an int >= minimum; a bool or any other value is a FormatError."""
+    value = _integer(f"{what}: {key}", _need(obj, key, what), FormatError)
+    if value < minimum:
         raise FormatError(f"{what}: {key} must be an integer >= {minimum}, got {value!r}")
     return value
 
@@ -102,17 +98,16 @@ def matrix_to_json(m, block_dim: int | None = None) -> dict:
     if block_dim is None:
         root = math.isqrt(order)
         block_dim = root if root * root == order else 1
+    block_dim = _integer("block_dim", block_dim, FormatError)
     if block_dim < 1 or (block_dim > 1 and block_dim * block_dim != order):
         raise FormatError(f"block_dim {block_dim} does not square to order {order}")
     return {"order": order, "block_dim": block_dim, "entries": _pairs(arr)}
 
 
 def matrix_from_json(obj) -> np.ndarray:
-    order = _need(obj, "order", "matrix")
-    block = _need(obj, "block_dim", "matrix")
-    if not _is_int(order) or order < 1:
-        raise FormatError(f"matrix: bad order {order!r}")
-    if not _is_int(block) or block < 1 or (block > 1 and block * block != order):
+    order = _need_int(obj, "order", "matrix")
+    block = _need_int(obj, "block_dim", "matrix")
+    if block > 1 and block * block != order:
         raise FormatError(f"matrix: block_dim {block!r} does not match order {order}")
     entries = _unpairs(_need(obj, "entries", "matrix"), order * order, "matrix")
     return entries.reshape(order, order)
@@ -261,7 +256,7 @@ def state_from_json(obj) -> PureState:
 
     dims = _need(obj, "dims", "state")
     if not isinstance(dims, list) or not dims or not all(
-        _is_int(d) and d >= 1 for d in dims
+        _integer("state: dims", d, FormatError) >= 1 for d in dims
     ):
         raise FormatError(f"state: bad dims {dims!r}")
     total = math.prod(dims)

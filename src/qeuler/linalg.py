@@ -15,7 +15,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import CapabilityError, DimensionError, NumericError
+from .errors import CapabilityError, DimensionError, NumericError, _integer
 
 __all__ = [
     "block_dim",
@@ -206,6 +206,23 @@ def robust_svd(m):
         return scipy.linalg.svd(m, lapack_driver="gesvd")
 
 
+def _finite_square(m, bipartite=False) -> np.ndarray:
+    """m as a complex square matrix with finite entries, of order d*d if bipartite.
+
+    The one check of the matrix entry points. A wrong shape is a
+    DimensionError and comes before a non-finite entry, a NumericError.
+    """
+    m = np.asarray(m)
+    if bipartite:
+        block_dim(m)
+    elif m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise DimensionError(f"expected a square matrix, got shape {m.shape}")
+    m = m.astype(complex, copy=False)
+    if not np.isfinite(m).all():
+        raise NumericError("matrix has non-finite entries")
+    return m
+
+
 def polar_decompose(m) -> PolarFactors:
     """Left polar decomposition m = H V with H >= 0 and V unitary.
 
@@ -213,25 +230,20 @@ def polar_decompose(m) -> PolarFactors:
     V = P Q* and H = P diag(s) P*. V is the unitary matrix closest to m in
     Frobenius norm.
     """
-    m = np.asarray(m, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise DimensionError(f"polar factors need a square matrix, got {m.shape}")
-    if not np.all(np.isfinite(m)):
-        raise NumericError("matrix has non-finite entries")
-    p, s, qh = robust_svd(m)
+    p, s, qh = robust_svd(_finite_square(m))
     v = p @ qh
     h = (p * s) @ p.conj().T
     return PolarFactors(positive_part=h, unitary_part=v)
 
 
-def _check_tol(tol) -> None:
-    """Reject a verifier tolerance that is not a finite number >= 0.
+def _check_tol(tol, name="tol") -> None:
+    """Reject a tolerance that is not a finite number >= 0 (a ValueError).
 
     A NaN tolerance would pass every residual (x > nan is false) and an
     infinite one any finite residual, so neither can back a verdict.
     """
     if not (math.isfinite(tol) and tol >= 0):
-        raise ValueError(f"tol must be a finite number >= 0, got {tol!r}")
+        raise ValueError(f"{name} must be a finite number >= 0, got {tol!r}")
 
 
 def unitarity_defect(m) -> float:
@@ -240,13 +252,7 @@ def unitarity_defect(m) -> float:
     A checked front for gram_defect: m must be one finite square matrix. A
     matrix of 0s and 1s gets an exact result, a permutation exactly 0.0.
     """
-    m = np.asarray(m)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise DimensionError(f"unitarity defect needs a square matrix, got {m.shape}")
-    m = np.asarray(m, dtype=complex)
-    if not np.all(np.isfinite(m)):
-        raise NumericError("matrix has non-finite entries")
-    return gram_defect(m)
+    return gram_defect(_finite_square(m))
 
 
 def gram_defect(m, c=1.0):
@@ -300,8 +306,8 @@ def two_unitarity_defect(m) -> float:
     are the three unfoldings of multi_unitarity_check at half-order 2, and
     like it this accepts only a finite matrix.
     """
-    m = np.asarray(m)
-    return max(_balanced_defects(m, block_dim(m), 2))
+    m = _finite_square(m, bipartite=True)
+    return max(_balanced_defects(m, math.isqrt(len(m)), 2))
 
 
 @dataclass(frozen=True)
@@ -333,19 +339,21 @@ def multi_unitarity_check(t, dim: int, half_order: int, tol: float = 1e-10):
     conditions: 3 for half_order 2, 10 for half_order 3. The unfoldings are
     gathered into one stack and their defects taken by one gram_defect
     call, or beyond _STACK_LIMIT entries each alone, with the same bits.
-    tol must be a finite number >= 0.
+    dim and half_order must be integers and tol a finite number >= 0.
     """
+    dim = _integer("dim", dim, DimensionError)
+    half_order = _integer("half_order", half_order, DimensionError)
     if half_order not in (2, 3):
         raise CapabilityError(
             f"half-order {half_order} not supported; only 2 and 3 are implemented"
         )
     _check_tol(tol)
-    t = np.asarray(t)
+    t = np.asarray(t, dtype=complex)
     n_axes = 2 * half_order
-    if t.size != dim**n_axes:
-        raise DimensionError(
-            f"tensor has {t.size} entries, expected {dim}**{n_axes} = {dim**n_axes}"
-        )
+    if dim < 1 or t.size != dim**n_axes:
+        raise DimensionError(f"{t.size} entries are not {n_axes} axes of length {dim}")
+    if not np.isfinite(t).all():
+        raise NumericError("tensor has non-finite entries")
     subsets = _subsets(n_axes, half_order, with_first=True)
     defects = _balanced_defects(t, dim, half_order)
     return MultiUnitarityReport(
@@ -356,15 +364,12 @@ def multi_unitarity_check(t, dim: int, half_order: int, tol: float = 1e-10):
 def _balanced_defects(t, dim, half_order) -> list:
     """The defects of multi_unitarity_check, in its order, as a list.
 
-    Its core: t must have dim**(2*half_order) entries and half_order must be
-    2 or 3; only finiteness is checked here.
+    Its unchecked core: t must be a finite complex array of
+    dim**(2*half_order) entries, and half_order 2 or 3.
     """
     n_axes = 2 * half_order
-    t = np.asarray(t, dtype=complex).reshape((dim,) * n_axes)
-    if not np.isfinite(t).all():
-        raise NumericError("tensor has non-finite entries")
     subsets = _subsets(n_axes, half_order, with_first=True)
-    return _each_unfolding(gram_defect, t, subsets).tolist()
+    return _each_unfolding(gram_defect, t.reshape((dim,) * n_axes), subsets).tolist()
 
 
 def _cards(ranks, suits) -> np.ndarray:

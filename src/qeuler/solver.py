@@ -23,7 +23,8 @@ from .errors import CapabilityError, DimensionError, NumericError, _integer
 from .linalg import (
     _card_permutation,
     _cards,
-    block_dim,
+    _check_tol,
+    _finite_square,
     gram_defect,
     partial_transpose,
     reshuffle,
@@ -117,8 +118,7 @@ class SearchConfig:
                 "only perturbed-permutation seeds start from one"
             )
         object.__setattr__(self, "rng_seed", _integer("rng_seed", self.rng_seed))
-        if not (math.isfinite(self.epsilon) and self.epsilon >= 0):
-            raise ValueError(f"epsilon must be a finite number >= 0, got {self.epsilon!r}")
+        _check_tol(self.epsilon, "epsilon")
         if not (math.isfinite(self.tol) and self.tol > 0):
             raise ValueError(f"tol must be a finite number > 0, got {self.tol!r}")
         if self.max_iter is not None:
@@ -225,11 +225,7 @@ def sinkhorn_step(x) -> np.ndarray:
     the partial transpose of a unitary, and a 2-unitary input keeps defect 0.
     search iterates this same step.
     """
-    x = np.asarray(x, dtype=complex)
-    block_dim(x)
-    if not np.all(np.isfinite(x)):
-        raise NumericError("matrix has non-finite entries")
-    return _step(x)[0]
+    return _step(_finite_square(x, bipartite=True))[0]
 
 
 def _step(x):
@@ -479,7 +475,7 @@ def default_base_permutation(d: int = 6):
     Decoding it with permutation_to_ols fails by design: no orthogonal pair
     of order 6 exists, so it is only nearly orthogonal.
     """
-    if d != 6:
+    if _integer("d", d, DimensionError) != 6:
         raise CapabilityError(
             f"no canonical base permutation is defined for order {d}; only 6"
         )
@@ -564,7 +560,9 @@ def amplitude_profile(m, tol: float = 1e-9) -> list:
     Entries with magnitude at most tol count as zero and are dropped; the
     rest are clustered wherever consecutive sorted magnitudes differ by more
     than tol. Returns [(mean magnitude, multiplicity), ...] ascending.
+    tol must be a finite number >= 0.
     """
+    _check_tol(tol)
     mags = np.sort(np.abs(np.asarray(m, dtype=complex)).ravel())
     mags = mags[mags > tol]
     if not mags.size:

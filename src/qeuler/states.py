@@ -10,14 +10,13 @@ construction.
 from __future__ import annotations
 
 import math
-import operator
 import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from .designs import OrthogonalLatinPair, ols_to_permutation
-from .errors import DimensionError, NumericError
+from .errors import DimensionError, NumericError, _integer
 from .linalg import _check_tol, _marginal_defects, _subsets, _unfold, block_dim
 
 __all__ = [
@@ -60,12 +59,7 @@ class PureState:
     amplitudes: np.ndarray
 
     def __post_init__(self):
-        try:
-            dims = tuple(operator.index(d) for d in self.dims)
-        except TypeError:
-            raise DimensionError(
-                f"party dimensions must be integers, got {self.dims!r}"
-            ) from None
+        dims = tuple(_integer("party dimension", d, DimensionError) for d in self.dims)
         if len(dims) < 1 or any(d < 1 for d in dims):
             raise DimensionError(f"invalid party dimensions {dims}")
         amps = np.asarray(self.amplitudes, dtype=complex).ravel()
@@ -88,7 +82,9 @@ class PureState:
         """The state without __post_init__'s checks, for callers that ran them.
 
         dims must be a tuple of ints >= 1 and amplitudes a 1-D complex unit
-        vector of their product's length.
+        vector of their product's length. It stays for state_from_two_unitary,
+        which has checked both: the constructor takes 6.5-11 us against 0.55 us
+        here (2-core Xeon), some 6% of a 100-110 us order-9 certificate chain.
         """
         state = object.__new__(cls)
         object.__setattr__(state, "dims", dims)
@@ -119,19 +115,30 @@ class SchmidtDecomposition:
     right_basis: np.ndarray
 
 
-def _split_sides(state: PureState, left):
-    left = tuple(sorted(int(q) for q in left))
+def _parties(state: PureState, parties, what) -> tuple:
+    """parties as a sorted tuple of at least one distinct integer party of state.
+
+    Anything else (a float or bool, a repeat, a party out of range, no
+    party at all) is a ValueError.
+    """
+    out = tuple(sorted(_integer(f"{what} party", q) for q in parties))
     n = state.n_parties
-    if len(set(left)) != len(left) or any(not 0 <= q < n for q in left):
-        raise ValueError(f"split {left} is not a subset of the {n} parties")
-    if not 0 < len(left) < n:
-        raise ValueError("split must leave at least one party on each side")
-    return left
+    if not out or len(set(out)) != len(out) or any(not 0 <= q < n for q in out):
+        raise ValueError(f"{what} {out} is not a nonempty set of parties of the {n}")
+    return out
 
 
 def schmidt_decompose(state: PureState, left, rank_tol: float = 1e-12):
-    """Schmidt decomposition across the bipartition (left parties | rest)."""
-    c = _unfold(state.tensor(), _split_sides(state, left))
+    """Schmidt decomposition across the bipartition (left parties | rest).
+
+    left holds distinct integer parties, at least one and not all of them;
+    rank_tol must be a finite number >= 0.
+    """
+    left = _parties(state, left, "split")
+    if len(left) == state.n_parties:
+        raise ValueError("split must leave at least one party on each side")
+    _check_tol(rank_tol, "rank_tol")
+    c = _unfold(state.tensor(), left)
     u, s, vh = np.linalg.svd(c, full_matrices=True)
     lambdas = s**2
     rank = int(np.count_nonzero(lambdas > rank_tol))
@@ -173,13 +180,11 @@ def state_from_schmidt(lambdas, u_a, u_b) -> PureState:
 
 
 def reduced_density(state: PureState, keep) -> np.ndarray:
-    """Density matrix of the kept parties (ascending order), rest traced out."""
-    keep = tuple(sorted(int(q) for q in keep))
-    n = state.n_parties
-    if len(keep) == 0 or len(set(keep)) != len(keep):
-        raise ValueError(f"keep {keep} must be a nonempty set of parties")
-    if any(not 0 <= q < n for q in keep):
-        raise ValueError(f"keep {keep} out of range for {n} parties")
+    """Density matrix of the kept parties (ascending order), rest traced out.
+
+    keep holds distinct integer parties, at least one.
+    """
+    keep = _parties(state, keep, "keep")
     mat = _unfold(state.tensor(), keep)
     return mat @ np.conj(mat.T)
 
@@ -232,9 +237,11 @@ def k_uniform_check(state: PureState, k: int, tol: float = 1e-10):
     """Check that every k-party marginal is maximally mixed.
 
     With unequal party dimensions the marginals come in several sizes; each
-    size is checked by one stacked product. tol must be a finite number >= 0.
+    size is checked by one stacked product. k must be an integer and tol a
+    finite number >= 0.
     """
     n = state.n_parties
+    k = _integer("k", k)
     if not 1 <= k <= n // 2:
         raise ValueError(f"k must satisfy 1 <= k <= {n // 2}, got {k}")
     return _uniformity_report(state, "k-uniform", k, _subsets(n, k), tol)

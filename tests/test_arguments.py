@@ -1,0 +1,115 @@
+"""Each kind of argument has one check, and every entry point raises its error.
+
+The kinds are integers (orders, party counts and party indices), tolerances
+and party subsets; each test below holds inputs that an entry point used to
+take silently or answer with a bare numpy or Python error.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from qeuler import (
+    DimensionError,
+    FormatError,
+    PureState,
+    SearchConfig,
+    amplitude_profile,
+    closest_separable_distance,
+    cyclic_latin,
+    default_base_permutation,
+    k_uniform_check,
+    multi_seed_search,
+    multi_unitarity_check,
+    reduced_density,
+    schmidt_decompose,
+)
+from qeuler.jsonio import matrix_to_json
+
+
+def ghz():
+    amps = np.zeros(8)
+    amps[0] = amps[7] = 1 / math.sqrt(2)
+    return PureState(dims=(2, 2, 2), amplitudes=amps)
+
+
+@pytest.mark.parametrize(
+    "call, parties",
+    [
+        (reduced_density, [0.5]),
+        (reduced_density, [1.9]),
+        (schmidt_decompose, [0.7, 1.2]),
+        (closest_separable_distance, [2.5]),
+        (reduced_density, [True]),
+    ],
+)
+def test_party_indices_must_be_integers(call, parties):
+    # int(q) used to truncate each index: these ran on parties 0, 1, (0, 1)
+    # and 2, and True on party 1
+    with pytest.raises(ValueError, match="party must be an int"):
+        call(ghz(), parties)
+    call(ghz(), [np.int64(1)])  # numpy integers pass
+
+
+@pytest.mark.parametrize(
+    "call, error",
+    [
+        (lambda: cyclic_latin(True), DimensionError),
+        (lambda: multi_seed_search(SearchConfig(d=2, max_iter=1), True), ValueError),
+        (lambda: PureState(dims=(True, 2), amplitudes=[1, 0]), DimensionError),
+        (lambda: k_uniform_check(ghz(), True), ValueError),
+        (lambda: multi_unitarity_check(np.eye(4), True, 2), DimensionError),
+        (lambda: default_base_permutation(6.0), DimensionError),
+        (lambda: matrix_to_json(np.eye(1), block_dim=True), FormatError),
+    ],
+    ids=[
+        "cyclic_latin",
+        "multi_seed_search",
+        "PureState",
+        "k_uniform_check",
+        "multi_unitarity",
+        "default_base_permutation",
+        "matrix_to_json",
+    ],
+)
+def test_bools_are_not_integers(call, error):
+    # True used to pass as 1: cyclic_latin(True) was [[0]], the sweep ran one
+    # seed and the state had dims (1, 2); a JSON record said "block_dim": true,
+    # and the order-6 base came back for the float 6.0
+    with pytest.raises(error, match="must be an int"):
+        call()
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: multi_unitarity_check(np.eye(4), -2, 2), DimensionError, "axes of length -2"),
+        (lambda: multi_unitarity_check(np.zeros(0), 0, 2), DimensionError, "axes of length 0"),
+        (lambda: multi_unitarity_check(np.eye(4), 2.0, 2), DimensionError, "dim must be an int"),
+        (lambda: multi_unitarity_check(np.eye(4), 2, 2.0), DimensionError, "half_order must be"),
+        (lambda: k_uniform_check(ghz(), 1.5), ValueError, "k must be an int"),
+    ],
+)
+def test_malformed_counts_raise_the_documented_error(call, error, message):
+    # these used to raise numpy's bare ValueError from a reshape, or a bare
+    # TypeError from range()
+    with pytest.raises(error, match=message):
+        call()
+
+
+@pytest.mark.parametrize("tol", [math.nan, math.inf, -1.0])
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda tol: amplitude_profile(np.eye(3), tol=tol),
+        lambda tol: amplitude_profile(np.zeros((2, 2)), tol=tol),
+        lambda tol: schmidt_decompose(ghz(), [0], rank_tol=tol),
+    ],
+    ids=["amplitude_profile-eye", "amplitude_profile-zeros", "schmidt_decompose"],
+)
+def test_tolerances_must_be_finite_and_nonnegative(call, tol):
+    # a NaN tolerance used to drop every magnitude, and give rank 0; a
+    # negative one kept the zeros as four groups of (0.0, 1)
+    with pytest.raises(ValueError, match="must be a finite number >= 0"):
+        call(tol)

@@ -51,7 +51,7 @@ def test_pure_state_validation():
 def test_pure_state_takes_integer_party_dimensions_only():
     amps = np.ones(4) / 2
     for dims in [(2.7, 2), ("2", 2), (2.0, 2), (None, 2)]:
-        with pytest.raises(DimensionError, match="integers"):
+        with pytest.raises(DimensionError, match="must be an int"):
             PureState(dims=dims, amplitudes=amps)
     psi = PureState(dims=(np.int64(2), np.int32(2)), amplitudes=amps)
     assert psi.dims == (2, 2)
