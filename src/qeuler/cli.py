@@ -446,9 +446,10 @@ def search_cmd(
 def bruteforce_cmd(dim, out_path):
     """Exhaust all order dim**2 permutation matrices for exact 2-unitarity.
 
-    Extends every partial placement by every row of the next column at
-    once, and drops a placement at its first conflicting cell, so every one
-    of the (dim**2)! permutations is still decided.
+    Goes one column block (dim columns) at a time: extends every partial
+    placement by every joint placement of the next block's columns at once,
+    and drops a placement at its first block that claims a cell twice, so
+    every one of the (dim**2)! permutations is still decided.
     """
     found = brute_force_permutations(dim)
     n = dim * dim

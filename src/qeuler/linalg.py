@@ -236,13 +236,21 @@ def polar_decompose(m) -> PolarFactors:
     return PolarFactors(positive_part=h, unitary_part=v)
 
 
+def _is_finite_number(x) -> bool:
+    """Whether x is a real number that is neither NaN nor infinite."""
+    try:
+        return math.isfinite(x)
+    except TypeError:  # a string, None, a list, a complex number
+        return False
+
+
 def _check_tol(tol, name="tol") -> None:
     """Reject a tolerance that is not a finite number >= 0 (a ValueError).
 
     A NaN tolerance would pass every residual (x > nan is false) and an
     infinite one any finite residual, so neither can back a verdict.
     """
-    if not (math.isfinite(tol) and tol >= 0):
+    if not (_is_finite_number(tol) and tol >= 0):
         raise ValueError(f"{name} must be a finite number >= 0, got {tol!r}")
 
 

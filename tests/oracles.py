@@ -104,6 +104,34 @@ def is_unitary_matrix(m, tol=1e-10):
     return bool(np.linalg.norm(g - np.eye(m.shape[0])) <= tol)
 
 
+def is_two_unitary_permutation_by_loops(m, d):
+    """Whether a permutation matrix of order d*d is 2-unitary.
+
+    A permutation matrix is unitary, so it is 2-unitary exactly when its
+    reshuffle and its partial transpose are unitary too.
+    """
+    unfoldings = (reshuffle_by_enumeration(m, d), partial_transpose_by_enumeration(m, d))
+    return all(unitarity_defect_by_integers(u) == 0 for u in unfoldings)
+
+
+def two_unitary_permutations_by_enumeration(d):
+    """Every 2-unitary permutation of order d*d, each candidate tried by loops.
+
+    Returns the one-position of each column of every permutation that
+    passes, in lexicographic order. Tiny d only: d = 2 tries all 24
+    permutations.
+    """
+    n = d * d
+    found = []
+    for perm in itertools.permutations(range(n)):
+        m = np.zeros((n, n), dtype=np.int64)
+        for column, row in enumerate(perm):
+            m[row, column] = 1
+        if is_two_unitary_permutation_by_loops(m, d):
+            found.append(perm)
+    return found
+
+
 # ---------------------------------------------------------------------------
 # quantum square conditions by explicit summation
 

@@ -15,6 +15,7 @@ from qeuler import (
     FormatError,
     PureState,
     SearchConfig,
+    ame_check,
     amplitude_profile,
     closest_separable_distance,
     cyclic_latin,
@@ -22,8 +23,10 @@ from qeuler import (
     k_uniform_check,
     multi_seed_search,
     multi_unitarity_check,
+    qls_verify,
     reduced_density,
     schmidt_decompose,
+    square_from_unitary_rows,
 )
 from qeuler.jsonio import matrix_to_json
 
@@ -113,3 +116,25 @@ def test_tolerances_must_be_finite_and_nonnegative(call, tol):
     # negative one kept the zeros as four groups of (0.0, 1)
     with pytest.raises(ValueError, match="must be a finite number >= 0"):
         call(tol)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: ame_check(ghz(), tol="1e-3"), "tol must be a finite number >= 0"),
+        (lambda: qls_verify(square_from_unitary_rows(np.eye(4)), tol=None), "tol must be"),
+        (lambda: amplitude_profile(np.eye(3), tol="x"), "tol must be a finite number >= 0"),
+        (lambda: multi_unitarity_check(np.eye(9), 3, 2, tol=[1]), "tol must be"),
+        (lambda: schmidt_decompose(ghz(), [0], rank_tol=1j), "rank_tol must be"),
+        (lambda: SearchConfig(d=2, epsilon="0.1"), "epsilon must be a finite number >= 0"),
+        (lambda: SearchConfig(d=2, tol=None), "tol must be a finite number > 0"),
+    ],
+    ids=[
+        "ame_check", "qls_verify", "amplitude_profile", "multi_unitarity_check",
+        "schmidt_decompose", "SearchConfig-epsilon", "SearchConfig-tol",
+    ],
+)
+def test_tolerances_that_are_not_numbers_are_value_errors(call, message):
+    # these used to raise a bare TypeError from math.isfinite
+    with pytest.raises(ValueError, match=message):
+        call()

@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import time
@@ -640,6 +641,15 @@ def test_no_two_unitary_permutation_of_order_four():
     assert brute_force_permutations(2) == []
 
 
+def test_order_four_search_agrees_with_trying_every_permutation(p9):
+    # all 24 candidates checked one by one, independently of the search, by
+    # a check that does tell a 2-unitary permutation from one that is not
+    assert oracles.is_two_unitary_permutation_by_loops(p9, 3)
+    assert not oracles.is_two_unitary_permutation_by_loops(np.eye(9), 3)
+    assert oracles.two_unitary_permutations_by_enumeration(2) == []
+    assert brute_force_permutations(2) == []
+
+
 def test_order_nine_search_finds_the_classic_encoding(p9):
     found = brute_force_permutations(3)
     assert len(found) >= 1
@@ -678,6 +688,35 @@ def test_cached_placement_masks_are_read_only():
     assert masks.shape == (9, 9) and masks.dtype == np.int64
     with pytest.raises(ValueError):
         masks[0, 0] = 0
+    for d in (2, 3):
+        tables = solver._block_placements(d)
+        assert tables is solver._block_placements(d)
+        for table in tables:
+            assert not table.flags.writeable
+            with pytest.raises(ValueError):
+                table[0, 0] = 0
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_block_placements_are_every_disjoint_row_tuple_in_order(d):
+    n = d * d
+    columns = solver._placement_masks(d)
+    rows, masks = solver._block_placements(d)
+    assert rows.shape == (d, math.factorial(d) ** 2, d) and masks.dtype == np.int64
+    for b in range(d):
+        block = columns[b * d : b * d + d]
+        # every tuple of rows whose cells are pairwise disjoint, by brute force
+        expected = [
+            t
+            for t in itertools.product(range(n), repeat=d)
+            if all(
+                int(block[p, t[p]]) & int(block[q, t[q]]) == 0
+                for p, q in itertools.combinations(range(d), 2)
+            )
+        ]
+        assert [tuple(int(r) for r in t) for t in rows[b]] == expected  # lexicographic
+        for t, mask in zip(rows[b], masks[b]):
+            assert int(mask) == int(np.bitwise_or.reduce(block[np.arange(d), t]))
 
 
 def test_brute_force_bound():
