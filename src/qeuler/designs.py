@@ -203,8 +203,8 @@ class OrthogonalArray:
 class QuantumOrthogonalArray:
     """Rows are pure states on n_classical + n_quantum parties of equal level.
 
-    levels, strength, n_classical and n_quantum are ints; anything else is
-    an InvalidDesignError.
+    levels, strength, n_classical and n_quantum are ints, levels >= 1 and the
+    party counts >= 0, else an InvalidDesignError; no runs is a DimensionError.
     """
 
     levels: int
@@ -215,11 +215,16 @@ class QuantumOrthogonalArray:
 
     def __post_init__(self):
         _integer_fields(self, ("levels", "strength", "n_classical", "n_quantum"))
+        if self.levels < 1 or min(self.n_classical, self.n_quantum) < 0:
+            raise InvalidDesignError(
+                f"need levels >= 1 and party counts >= 0, got levels {self.levels}, "
+                f"n_classical {self.n_classical}, n_quantum {self.n_quantum}"
+            )
         arr = np.asarray(self.states, dtype=complex)
         n = self.n_classical + self.n_quantum
-        if arr.ndim != 2 or arr.shape[1] != self.levels**n:
+        if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] != self.levels**n:
             raise DimensionError(
-                f"states must have shape (runs, levels**{n}), got {arr.shape}"
+                f"states must have shape (runs >= 1, levels**{n}), got {arr.shape}"
             )
         object.__setattr__(self, "states", arr)
 

@@ -41,9 +41,9 @@ def block_dim(m) -> int:
 
 def _order_root(order: int) -> int:
     d = math.isqrt(order)
-    if d * d != order:
+    if d == 0 or d * d != order:
         raise DimensionError(
-            f"order {order} is not a perfect square; "
+            f"order {order} is not the square of a positive integer; "
             "bipartite reorderings are undefined"
         )
     return d
@@ -315,7 +315,8 @@ def two_unitarity_defect(m) -> float:
     like it this accepts only a finite matrix.
     """
     m = _finite_square(m, bipartite=True)
-    return max(_balanced_defects(m, math.isqrt(len(m)), 2))
+    t = m.reshape((math.isqrt(len(m)),) * 4)
+    return max(_marginal_defects(t, _subsets(4, 2, with_first=True), 1.0).tolist())
 
 
 @dataclass(frozen=True)
@@ -344,9 +345,10 @@ def multi_unitarity_check(t, dim: int, half_order: int, tol: float = 1e-10):
     size half_order that contains axis 0, the unfolding with those axes as
     rows is tested; complementary subsets give transposed unfoldings, so
     listing only the subsets containing axis 0 covers all inequivalent
-    conditions: 3 for half_order 2, 10 for half_order 3. The unfoldings are
-    gathered into one stack and their defects taken by one gram_defect
-    call, or beyond _STACK_LIMIT entries each alone, with the same bits.
+    conditions: 3 for half_order 2, 10 for half_order 3. This is ame_check's
+    marginal check at c = 1, on its subsets: M is square, so ||M M* - I|| =
+    ||M* M - I||, and for a unitary u each defect of half-order 2 is d**2
+    times the AME residual of state_from_two_unitary(u) on the same subset.
     dim and half_order must be integers and tol a finite number >= 0.
     """
     dim = _integer("dim", dim, DimensionError)
@@ -363,21 +365,10 @@ def multi_unitarity_check(t, dim: int, half_order: int, tol: float = 1e-10):
     if not np.isfinite(t).all():
         raise NumericError("tensor has non-finite entries")
     subsets = _subsets(n_axes, half_order, with_first=True)
-    defects = _balanced_defects(t, dim, half_order)
+    defects = _marginal_defects(t.reshape((dim,) * n_axes), subsets, 1.0).tolist()
     return MultiUnitarityReport(
         half_order=half_order, dim=dim, tol=tol, defects=tuple(zip(subsets, defects))
     )
-
-
-def _balanced_defects(t, dim, half_order) -> list:
-    """The defects of multi_unitarity_check, in its order, as a list.
-
-    Its unchecked core: t must be a finite complex array of
-    dim**(2*half_order) entries, and half_order 2 or 3.
-    """
-    n_axes = 2 * half_order
-    subsets = _subsets(n_axes, half_order, with_first=True)
-    return _each_unfolding(gram_defect, t.reshape((dim,) * n_axes), subsets).tolist()
 
 
 def _cards(ranks, suits) -> np.ndarray:

@@ -20,13 +20,20 @@ from qeuler import (
     closest_separable_distance,
     cyclic_latin,
     default_base_permutation,
+    flattenings,
     k_uniform_check,
     multi_seed_search,
     multi_unitarity_check,
+    partial_transpose,
+    permutation_to_ols,
     qls_verify,
     reduced_density,
+    reshuffle,
     schmidt_decompose,
+    sinkhorn_step,
     square_from_unitary_rows,
+    state_from_two_unitary,
+    two_unitarity_defect,
 )
 from qeuler.jsonio import matrix_to_json
 
@@ -137,4 +144,29 @@ def test_tolerances_must_be_finite_and_nonnegative(call, tol):
 def test_tolerances_that_are_not_numbers_are_value_errors(call, message):
     # these used to raise a bare TypeError from math.isfinite
     with pytest.raises(ValueError, match=message):
+        call()
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: two_unitarity_defect(np.zeros((0, 0))),
+        lambda: sinkhorn_step(np.zeros((0, 0))),
+        lambda: reshuffle(np.zeros((0, 0))),
+        lambda: partial_transpose(np.zeros((0, 0))),
+        lambda: flattenings(np.zeros((0,) * 4)),
+        lambda: state_from_two_unitary(np.zeros((0, 0))),
+        lambda: permutation_to_ols(np.zeros((0, 0))),
+        lambda: square_from_unitary_rows(np.zeros((0, 0))),
+    ],
+    ids=[
+        "two_unitarity_defect", "sinkhorn_step", "reshuffle", "partial_transpose",
+        "flattenings", "state_from_two_unitary", "permutation_to_ols",
+        "square_from_unitary_rows",
+    ],
+)
+def test_order_zero_is_not_a_bipartite_order(call):
+    # 0 = 0 * 0, so block_dim used to return d = 0 and these raised numpy's
+    # bare ValueError from a reshape, a max or an argmax
+    with pytest.raises(DimensionError, match="order 0 is not the square of a positive"):
         call()

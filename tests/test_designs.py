@@ -797,6 +797,26 @@ def test_qoa_strength_out_of_range():
         qoa_verify(arr)
 
 
+@pytest.mark.parametrize(
+    "fields, states, error, message",
+    [
+        (dict(levels=-2), np.zeros((1, 4)), InvalidDesignError, "levels -2"),
+        (dict(levels=0), np.zeros((1, 0)), InvalidDesignError, "levels 0"),
+        (dict(n_classical=-1, n_quantum=3), np.zeros((1, 4)), InvalidDesignError, "n_classical -1"),
+        (dict(n_quantum=-1), np.zeros((1, 1)), InvalidDesignError, "n_quantum -1"),
+        (dict(), np.zeros((0, 4)), DimensionError, "runs >= 1"),
+    ],
+    ids=["negative-levels", "zero-levels", "negative-classical", "negative-quantum", "no-runs"],
+)
+def test_qoa_refuses_what_the_json_reader_refuses(fields, states, error, message):
+    # these used to be accepted: levels -2 squares to 4 and qoa_verify then
+    # raised numpy's reshape error, a negative party count went through, and
+    # an array with no runs passed qoa_verify with every residual 0.0
+    fields = {**dict(levels=2, strength=1, n_classical=1, n_quantum=1), **fields}
+    with pytest.raises(error, match=message):
+        QuantumOrthogonalArray(**fields, states=states)
+
+
 @pytest.mark.parametrize("field", ["levels", "strength", "n_classical", "n_quantum"])
 def test_qoa_integer_fields_are_checked(field):
     # a float used to pass here and fail later in qoa_verify with a bare TypeError

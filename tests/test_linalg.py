@@ -231,6 +231,10 @@ def test_gram_defect_is_the_norm_formula_bit_for_bit(rng):
         # qoa_verify's marginals with the run axis 0 among the columns,
         # c = runs / levels**k
         ((9, 3, 3, 3, 3), list(itertools.combinations(range(1, 5), 2)), 9 / 3**2),
+        # the balanced unfoldings of two_unitarity_defect and
+        # multi_unitarity_check, c = 1
+        ((4, 4, 4, 4), _subsets(4, 2, True), 1.0),
+        ((3,) * 6, _subsets(6, 3, True), 1.0),
     ],
 )
 def test_marginal_defects_are_the_row_gram_formula_bit_for_bit(
@@ -387,16 +391,16 @@ def test_large_unfoldings_are_each_taken_alone_bit_for_bit(rng, monkeypatch):
     assert 3 * m.size > linalg._STACK_LIMIT and 10 * t.size > linalg._STACK_LIMIT
     before = linalg._unfolding_index.cache_info()
     worst = two_unitarity_defect(m)
-    alone = [
-        [x.hex() for x in linalg._balanced_defects(m, 16, 2)],
-        [v.hex() for _, v in multi_unitarity_check(t, 5, 3).defects],
-    ]
+
+    def defects(t, half_order):
+        rows = _subsets(2 * half_order, half_order, True)
+        return [x.hex() for x in linalg._marginal_defects(t, rows, 1.0).tolist()]
+
+    m4, t6 = m.reshape((16,) * 4), t.reshape((5,) * 6)
+    alone = [defects(m4, 2), [v.hex() for _, v in multi_unitarity_check(t, 5, 3).defects]]
     assert linalg._unfolding_index.cache_info() == before
     monkeypatch.setattr(linalg, "_STACK_LIMIT", 10 * t.size)
-    stacked = [
-        [x.hex() for x in linalg._balanced_defects(m, 16, 2)],
-        [x.hex() for x in linalg._balanced_defects(t, 5, 3)],
-    ]
+    stacked = [defects(m4, 2), defects(t6, 3)]
     assert alone == stacked
     assert worst.hex() == max(alone[0], key=float.fromhex)
 

@@ -18,10 +18,12 @@ from qeuler import (
     entanglement_entropy,
     k_uniform_check,
     mols_construct,
+    multi_unitarity_check,
     reduced_density,
     schmidt_decompose,
     state_from_schmidt,
     state_from_two_unitary,
+    two_unitarity_defect,
 )
 from qeuler import linalg
 
@@ -392,8 +394,6 @@ def test_no_order_four_permutation_gives_ame():
 
 
 def test_ame_pass_tracks_two_unitarity_on_order_nine_samples(rng, p9):
-    from qeuler import two_unitarity_defect
-
     samples = [p9.astype(float)]
     for _ in range(6):
         perm = rng.permutation(9)
@@ -403,6 +403,22 @@ def test_ame_pass_tracks_two_unitarity_on_order_nine_samples(rng, p9):
     for u in samples:
         expected = two_unitarity_defect(u) <= 1e-8
         assert ame_check(state_from_two_unitary(u), tol=1e-8).passed == expected
+
+
+@pytest.mark.parametrize("d, seed", [(2, 401), (3, 402), (4, 403), (6, 404)])
+def test_two_unitarity_defects_are_the_ame_residuals_of_a_unitary(d, seed):
+    # the paper's equivalence away from a solution: for a unitary u the
+    # three unitarity defects of its balanced unfoldings are d**2 times the
+    # flatness residuals of the marginals on (0,1), (0,2) and (0,3) of the
+    # state whose coefficients are u / d
+    u = random_unitary(d * d, np.random.default_rng(seed))
+    report = multi_unitarity_check(u, d, 2)
+    ame = ame_check(state_from_two_unitary(u))
+    assert [rows for rows, _ in report.defects] == list(ame.subset_residuals)
+    assert list(ame.subset_residuals) == [(0, 1), (0, 2), (0, 3)]
+    for (_, defect), residual in zip(report.defects, ame.subset_residuals.values()):
+        assert defect == pytest.approx(d**2 * residual, rel=1e-12)
+    assert two_unitarity_defect(u) == report.max_defect
 
 
 def test_state_from_two_unitary_normalizes_and_rejects_zero():
