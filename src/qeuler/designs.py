@@ -81,29 +81,26 @@ class DesignReport:
 
     family_residuals maps each condition family that was evaluated
     numerically to its worst residual; purely combinatorial checks only
-    contribute violations.
+    contribute violations. passed and max_residual are read off these.
     """
 
     kind: str
-    passed: bool
     tol: float
-    max_residual: float
     violations: tuple = ()
     family_residuals: dict = field(default_factory=dict)
 
+    @property
+    def passed(self) -> bool:
+        return not self.violations
 
-def _report(kind, tol, violations, families=None):
-    families = dict(families or {})
-    max_res = max(families.values(), default=0.0)
-    max_res = max([max_res] + [v.residual for v in violations], default=0.0)
-    return DesignReport(
-        kind=kind,
-        passed=not violations,
-        tol=tol,
-        max_residual=float(max_res),
-        violations=tuple(violations),
-        family_residuals=families,
-    )
+    @property
+    def max_residual(self) -> float:
+        residuals = [v.residual for v in self.violations]
+        return float(max([*self.family_residuals.values(), *residuals], default=0.0))
+
+
+def _report(kind, tol, violations, families=()):
+    return DesignReport(kind, tol, tuple(violations), dict(families))
 
 
 # ---------------------------------------------------------------------------
@@ -183,8 +180,8 @@ class QuantumSquare:
 class OrthogonalArray:
     """Classical orthogonal array: rows of symbols, one column per factor.
 
-    levels and strength are ints, and the symbols integers (whole-valued
-    floats pass); anything else is an InvalidDesignError.
+    levels and strength are ints, levels >= 1, and the symbols integers
+    (whole-valued floats pass); anything else is an InvalidDesignError.
     """
 
     levels: int
@@ -193,6 +190,8 @@ class OrthogonalArray:
 
     def __post_init__(self):
         _integer_fields(self, ("levels", "strength"))
+        if self.levels < 1:
+            raise InvalidDesignError(f"need levels >= 1, got {self.levels}")
         arr = np.asarray(self.rows)
         if arr.ndim != 2:
             raise DimensionError(f"rows must be a 2-D symbol table, got {arr.shape}")

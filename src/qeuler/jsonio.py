@@ -208,13 +208,15 @@ def design_from_json(obj):
         rows = _need(obj, "cells", kind)
         if not isinstance(rows, list) or len(rows) != d:
             raise FormatError(f"{kind}: expected {d} rows of cells")
-        cells = np.zeros((d, d, cell_dim), dtype=complex)
+        cells = []
         for r, row in enumerate(rows):
             if not isinstance(row, list) or len(row) != d:
                 raise FormatError(f"{kind}: row {r} must hold {d} cells")
-            for c, vec in enumerate(row):
-                cells[r, c] = _unpairs(vec, cell_dim, f"{kind} cell ({r},{c})")
-        return kind, QuantumSquare(cells=cells)
+            cells.append([
+                _unpairs(vec, cell_dim, f"{kind} cell ({r},{c})")
+                for c, vec in enumerate(row)
+            ])
+        return kind, QuantumSquare(cells=np.array(cells))
     if kind == "oa":
         rows = np.asarray(_need(obj, "rows", "oa"))
         if rows.ndim != 2 or rows.dtype.kind not in "iu":
@@ -230,7 +232,11 @@ def design_from_json(obj):
     raw = _need(obj, "states", "qoa")
     if not isinstance(raw, list) or not raw:
         raise FormatError("qoa: needs a nonempty list of states")
-    dim = levels ** (n_c + n_q)
+    n = n_c + n_q
+    width = len(raw[0]) if isinstance(raw[0], list) else 0
+    if levels > 1 and n >= width.bit_length():  # levels**n >= 2**n > width
+        raise FormatError(f"qoa state 0: needs a list of {levels}**{n} entries")
+    dim = levels**n
     states = np.stack(
         [_unpairs(s, dim, f"qoa state {i}") for i, s in enumerate(raw)]
     )

@@ -603,10 +603,13 @@ def amplitude_profile(m, tol: float = 1e-9) -> list:
     Entries with magnitude at most tol count as zero and are dropped; the
     rest are clustered wherever consecutive sorted magnitudes differ by more
     than tol. Returns [(mean magnitude, multiplicity), ...] ascending.
-    tol must be a finite number >= 0.
+    tol must be a finite number >= 0; a non-finite entry is a NumericError.
     """
     _check_tol(tol)
-    mags = np.sort(np.abs(np.asarray(m, dtype=complex)).ravel())
+    arr = np.asarray(m, dtype=complex)
+    if not np.isfinite(arr).all():
+        raise NumericError("matrix has non-finite entries")
+    mags = np.sort(np.abs(arr).ravel())
     mags = mags[mags > tol]
     if not mags.size:
         return []

@@ -17,7 +17,14 @@ import numpy as np
 
 from .designs import OrthogonalLatinPair, ols_to_permutation
 from .errors import DimensionError, NumericError, _integer
-from .linalg import _check_tol, _marginal_defects, _subsets, _unfold, block_dim
+from .linalg import (
+    _check_tol,
+    _finite_square,
+    _marginal_defects,
+    _subsets,
+    _unfold,
+    block_dim,
+)
 
 __all__ = [
     "PureState",
@@ -158,7 +165,8 @@ def state_from_schmidt(lambdas, u_a, u_b) -> PureState:
     """Assemble a bipartite state with the given Schmidt spectrum and bases.
 
     lambdas must be nonnegative and sum to 1; columns i of u_a and u_b pair up
-    as the Schmidt vectors with weight sqrt(lambdas[i]).
+    as the Schmidt vectors with weight sqrt(lambdas[i]). A basis that is not
+    square is a DimensionError, and one with a non-finite entry a NumericError.
     """
     lam = np.asarray(lambdas, dtype=float)
     if lam.ndim != 1 or lam.size < 1:
@@ -167,14 +175,11 @@ def state_from_schmidt(lambdas, u_a, u_b) -> PureState:
         raise ValueError("Schmidt weights must be nonnegative")
     if abs(lam.sum() - 1.0) > _NORM_TOL:
         raise ValueError(f"Schmidt weights must sum to 1, got {lam.sum()!r}")
-    u_a = np.asarray(u_a, dtype=complex)
-    u_b = np.asarray(u_b, dtype=complex)
+    u_a, u_b = _finite_square(u_a), _finite_square(u_b)
     da, db = u_a.shape[0], u_b.shape[0]
     r = lam.size
-    if u_a.shape != (da, da) or u_b.shape != (db, db) or r > min(da, db):
-        raise DimensionError(
-            f"need square bases admitting {r} Schmidt terms, got {u_a.shape} and {u_b.shape}"
-        )
+    if r > min(da, db):
+        raise DimensionError(f"bases of orders {da} and {db} admit no {r} Schmidt terms")
     coeff = (u_a[:, :r] * np.sqrt(np.clip(lam, 0.0, None))) @ u_b[:, :r].T
     return PureState(dims=(da, db), amplitudes=coeff.reshape(-1))
 
@@ -196,15 +201,25 @@ class UniformityReport:
     kind: str
     k: int
     tol: float
-    passed: bool
     subset_residuals: dict
-    max_residual: float
-    worst_subset: tuple
     note: str = ""
+
+    @property
+    def worst_subset(self) -> tuple:
+        """The subset of the largest residual, the first in subset order on ties."""
+        return max(self.subset_residuals, key=self.subset_residuals.get)
+
+    @property
+    def max_residual(self) -> float:
+        return self.subset_residuals[self.worst_subset]
+
+    @property
+    def passed(self) -> bool:
+        return self.max_residual <= self.tol
 
 
 def _uniformity_report(state: PureState, kind, k, subsets, tol, note=""):
-    """Marginal flatness of the given k-party subsets, worst one named.
+    """Marginal flatness residuals of the given k-party subsets.
 
     The coefficient matrices of the subsets whose marginals have the same
     shape are gathered into one stack, so one product M M* gives all their
@@ -220,17 +235,7 @@ def _uniformity_report(state: PureState, kind, k, subsets, tol, note=""):
     for dk, group in groups.items():
         defects = _marginal_defects(state.tensor(), group, 1.0 / dk)
         residuals.update(zip(group, defects.tolist()))
-    worst = max(residuals, key=residuals.get)
-    return UniformityReport(
-        kind=kind,
-        k=k,
-        tol=tol,
-        passed=residuals[worst] <= tol,
-        subset_residuals=residuals,
-        max_residual=residuals[worst],
-        worst_subset=worst,
-        note=note,
-    )
+    return UniformityReport(kind, k, tol, residuals, note)
 
 
 def k_uniform_check(state: PureState, k: int, tol: float = 1e-10):

@@ -13,6 +13,7 @@ import pytest
 from qeuler import (
     DimensionError,
     FormatError,
+    NumericError,
     PureState,
     SearchConfig,
     ame_check,
@@ -32,6 +33,7 @@ from qeuler import (
     schmidt_decompose,
     sinkhorn_step,
     square_from_unitary_rows,
+    state_from_schmidt,
     state_from_two_unitary,
     two_unitarity_defect,
 )
@@ -169,4 +171,26 @@ def test_order_zero_is_not_a_bipartite_order(call):
     # 0 = 0 * 0, so block_dim used to return d = 0 and these raised numpy's
     # bare ValueError from a reshape, a max or an argmax
     with pytest.raises(DimensionError, match="order 0 is not the square of a positive"):
+        call()
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: amplitude_profile(np.array([[np.nan, 1.0]])),
+        lambda: amplitude_profile(np.array([[np.inf, -np.inf]])),
+        lambda: amplitude_profile(np.array([[1.0, complex(0, np.nan)]])),
+        lambda: state_from_schmidt([1.0], [[np.inf]], np.eye(1)),
+        lambda: state_from_schmidt([0.5, 0.5], np.eye(2), [[1, 0], [np.nan, 1]]),
+    ],
+    ids=[
+        "amplitude_profile-nan", "amplitude_profile-inf", "amplitude_profile-complex-nan",
+        "state_from_schmidt-u_a", "state_from_schmidt-u_b",
+    ],
+)
+def test_non_finite_matrices_are_numeric_errors(call):
+    # amplitude_profile used to drop a NaN and answer [(1.0, 1)], and two
+    # infinities raised a bare RuntimeWarning from np.diff; state_from_schmidt
+    # raised one from its product before PureState saw the result
+    with pytest.raises(NumericError, match="matrix has non-finite entries"):
         call()

@@ -216,6 +216,26 @@ def test_verify_malformed_json_is_usage_error(runner, tmp_path):
     assert "error:" in result.output
 
 
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"kind": "qls", "d": 1, "cell_dim": 10**15, "cells": [[[[1, 0]]]]},
+        {"kind": "qoa", "levels": 3, "strength": 1, "n_classical": 10**9,
+         "n_quantum": 0, "states": [[[1, 0]]]},
+    ],
+    ids=["qls-cell-dim", "qoa-party-count"],
+)
+def test_verify_checks_the_data_before_its_declared_sizes(runner, tmp_path, doc):
+    # the qls reader used to allocate d x d x cell_dim amplitudes first and
+    # exit 1 with an uncaught memory error; the qoa reader computed
+    # levels ** (n_classical + n_quantum) before it looked at a state
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(doc))
+    result = invoke(runner, "design", "verify", "--in", str(path))
+    assert result.exit_code == 2
+    assert "error:" in result.output
+
+
 def test_encode_classic_pair(runner, tmp_path, classic_pair, p9):
     pair_path = tmp_path / "pair.json"
     jsonio.save_json(jsonio.design_to_json("ols", classic_pair), pair_path)

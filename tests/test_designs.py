@@ -1,10 +1,13 @@
+import dataclasses
 import itertools
 
 import numpy as np
 import pytest
 
 from qeuler import (
+    DesignReport,
     DimensionError,
+    FormatError,
     InvalidDesignError,
     NotAPrimePowerError,
     NotAnOlsError,
@@ -13,6 +16,8 @@ from qeuler import (
     OrthogonalLatinPair,
     QuantumOrthogonalArray,
     QuantumSquare,
+    UniformityReport,
+    Violation,
     classical_embed,
     cyclic_latin,
     mols_construct,
@@ -34,7 +39,7 @@ from qeuler import (
     verify_orthogonal_pair,
 )
 
-from qeuler import linalg
+from qeuler import jsonio, linalg
 from qeuler.linalg import gram_defect
 
 import frozen
@@ -564,6 +569,34 @@ def _report_fields(report):
     )
 
 
+def test_reports_store_only_what_they_measured():
+    # passed, max_residual and worst_subset are read off the residuals and
+    # violations, so a report cannot disagree with what it measured
+    fields = [f.name for f in dataclasses.fields(DesignReport)]
+    assert fields == ["kind", "tol", "violations", "family_residuals"]
+    fields = [f.name for f in dataclasses.fields(UniformityReport)]
+    assert fields == ["kind", "k", "tol", "subset_residuals", "note"]
+    for derived in ("passed", "max_residual", "worst_subset"):
+        with pytest.raises(TypeError):
+            DesignReport(kind="qls", tol=0.0, **{derived: 0.0})
+        with pytest.raises(TypeError):
+            UniformityReport(kind="ame", k=1, tol=0.0, subset_residuals={}, **{derived: 0.0})
+
+    violation = Violation("balance", (0, 1), 2.0)
+    report = DesignReport("oa", 0.0, (violation,), {"rows": 1.0})
+    assert not report.passed and report.max_residual == 2.0
+    clean = DesignReport("qls", 1e-10, (), {"rows": 3e-11, "columns": 4e-11})
+    assert clean.passed and clean.max_residual == 4e-11
+    empty = DesignReport("ls", 0.0)
+    assert empty.passed and type(empty.max_residual) is float and empty.max_residual == 0.0
+
+    # the first of two tied subsets is the worst
+    tied = UniformityReport("ame", 1, 0.5, {(0,): 0.5, (1,): 0.7, (2,): 0.7})
+    assert tied.worst_subset == (1,) and tied.max_residual == 0.7 and not tied.passed
+    flat = UniformityReport("ame", 1, 0.5, {(0,): 0.5, (1,): 0.25})
+    assert flat.worst_subset == (0,) and flat.passed
+
+
 def test_classical_verifiers_equal_the_counting_references(rng):
     # every report, violation order included, equals the one the separate
     # line, pair and per-subset counts gave before they became one count
@@ -685,6 +718,16 @@ def test_oa_verify_rejects_degenerate_arrays():
             OrthogonalArray(levels=levels, strength=strength, rows=[[0], [1]])
     cast = OrthogonalArray(levels=np.int64(2), strength=np.int64(1), rows=[[0], [1]])
     assert type(cast.levels) is int and type(cast.strength) is int
+
+
+@pytest.mark.parametrize("levels", [0, -2])
+def test_orthogonal_array_levels_must_be_positive(levels):
+    # these used to build, and oa_verify gave a symbol-range report
+    with pytest.raises(InvalidDesignError, match="need levels >= 1"):
+        OrthogonalArray(levels=levels, strength=1, rows=np.zeros((1, 1), dtype=int))
+    doc = {"kind": "oa", "levels": levels, "strength": 1, "rows": [[0]]}
+    with pytest.raises(FormatError, match="levels must be an integer >= 1"):
+        jsonio.design_from_json(doc)
 
 
 def test_qoa_from_embedded_classic_pair(classic_pair):
