@@ -28,7 +28,7 @@ _EXPORTS = {
         "NotAnOlsError",
         "FormatError",
     ),
-    "gf": ("Field", "FieldElement", "is_prime", "prime_power_decompose"),
+    "gf": ("Field", "FieldElement", "prime_power_decompose"),
     "linalg": (
         "MultiUnitarityReport",
         "PolarFactors",
@@ -76,7 +76,6 @@ _EXPORTS = {
         "k_uniform_check",
         "reduced_density",
         "schmidt_decompose",
-        "state_from_schmidt",
         "state_from_two_unitary",
     ),
     "solver": (
@@ -88,7 +87,6 @@ _EXPORTS = {
         "SearchSummary",
         "amplitude_profile",
         "brute_force_permutations",
-        "default_base_permutation",
         "multi_seed_search",
         "search",
         "seed_matrix",

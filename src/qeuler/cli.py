@@ -433,7 +433,8 @@ def search_cmd(
     "--dim",
     type=int,
     required=True,
-    help="Local dimension d (2 or 3); the permutations have order d**2.",
+    help="Local dimension d (2 or 3): every pair of Latin squares of order d "
+    "is tried, which decides all permutations of order d**2.",
 )
 @click.option(
     "--out",
@@ -446,10 +447,10 @@ def search_cmd(
 def bruteforce_cmd(dim, out_path):
     """Exhaust all order dim**2 permutation matrices for exact 2-unitarity.
 
-    Goes one column block (dim columns) at a time: extends every partial
-    placement by every joint placement of the next block's columns at once,
-    and drops a placement at its first block that claims a cell twice, so
-    every one of the (dim**2)! permutations is still decided.
+    A permutation is 2-unitary exactly when it card-encodes an orthogonal
+    pair of Latin squares, so every ordered pair of Latin squares of order
+    dim is tested for a repeated card, which decides every one of the
+    (dim**2)! permutations.
     """
     found = brute_force_permutations(dim)
     n = dim * dim

@@ -17,20 +17,7 @@ from functools import lru_cache
 
 from .errors import DimensionError, NotAPrimePowerError, _integer
 
-__all__ = ["Field", "FieldElement", "is_prime", "prime_power_decompose"]
-
-
-def is_prime(m: int) -> bool:
-    """Primality by trial division; fine for the tiny orders used here."""
-    m = _integer("m", m, DimensionError)
-    if m < 2:
-        return False
-    f = 2
-    while f * f <= m:
-        if m % f == 0:
-            return False
-        f += 1
-    return True
+__all__ = ["Field", "FieldElement", "prime_power_decompose"]
 
 
 def prime_power_decompose(q: int):
@@ -168,7 +155,8 @@ class Field:
         self.modulus = _smallest_irreducible(self.p, self.n)
 
     def element(self, label: int) -> FieldElement:
-        """Element with the given integer label in [0, q)."""
+        """Element with the given integer label in [0, q); numpy integers pass."""
+        label = _integer("label", label)
         if not 0 <= label < self.q:
             raise ValueError(f"label {label} out of range for GF({self.q})")
         return FieldElement(self, _label_coeffs(label, self.p, self.n))

@@ -237,7 +237,9 @@ def polar_decompose(m) -> PolarFactors:
 
 
 def _is_finite_number(x) -> bool:
-    """Whether x is a real number that is neither NaN nor infinite."""
+    """Whether x is a real number that is neither NaN nor infinite, not a bool."""
+    if isinstance(x, (bool, np.bool_)):  # math.isfinite(True) is True
+        return False
     try:
         return math.isfinite(x)
     except TypeError:  # a string, None, a list, a complex number

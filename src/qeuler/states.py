@@ -19,7 +19,6 @@ from .designs import OrthogonalLatinPair, ols_to_permutation
 from .errors import DimensionError, NumericError, _integer
 from .linalg import (
     _check_tol,
-    _finite_square,
     _marginal_defects,
     _subsets,
     _unfold,
@@ -32,7 +31,6 @@ __all__ = [
     "UniformityReport",
     "schmidt_decompose",
     "entanglement_entropy",
-    "state_from_schmidt",
     "reduced_density",
     "k_uniform_check",
     "ame_check",
@@ -159,29 +157,6 @@ def entanglement_entropy(s: SchmidtDecomposition) -> float:
     lam = np.clip(np.asarray(s.lambdas, dtype=float), 0.0, None)
     lam = lam[lam > 0]
     return float(-np.sum(lam * np.log(lam)))
-
-
-def state_from_schmidt(lambdas, u_a, u_b) -> PureState:
-    """Assemble a bipartite state with the given Schmidt spectrum and bases.
-
-    lambdas must be nonnegative and sum to 1; columns i of u_a and u_b pair up
-    as the Schmidt vectors with weight sqrt(lambdas[i]). A basis that is not
-    square is a DimensionError, and one with a non-finite entry a NumericError.
-    """
-    lam = np.asarray(lambdas, dtype=float)
-    if lam.ndim != 1 or lam.size < 1:
-        raise DimensionError("lambdas must be a nonempty vector")
-    if np.any(lam < -1e-12):
-        raise ValueError("Schmidt weights must be nonnegative")
-    if abs(lam.sum() - 1.0) > _NORM_TOL:
-        raise ValueError(f"Schmidt weights must sum to 1, got {lam.sum()!r}")
-    u_a, u_b = _finite_square(u_a), _finite_square(u_b)
-    da, db = u_a.shape[0], u_b.shape[0]
-    r = lam.size
-    if r > min(da, db):
-        raise DimensionError(f"bases of orders {da} and {db} admit no {r} Schmidt terms")
-    coeff = (u_a[:, :r] * np.sqrt(np.clip(lam, 0.0, None))) @ u_b[:, :r].T
-    return PureState(dims=(da, db), amplitudes=coeff.reshape(-1))
 
 
 def reduced_density(state: PureState, keep) -> np.ndarray:

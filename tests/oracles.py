@@ -364,17 +364,6 @@ def mols_by_field_loops(q):
     return squares
 
 
-def int_is_prime(m):
-    if m < 2:
-        return False
-    f = 2
-    while f * f <= m:
-        if m % f == 0:
-            return False
-        f += 1
-    return True
-
-
 # ---------------------------------------------------------------------------
 # combinatorial design checks by exhaustion
 

@@ -20,7 +20,6 @@ from qeuler import (
     amplitude_profile,
     closest_separable_distance,
     cyclic_latin,
-    default_base_permutation,
     flattenings,
     k_uniform_check,
     multi_seed_search,
@@ -33,7 +32,6 @@ from qeuler import (
     schmidt_decompose,
     sinkhorn_step,
     square_from_unitary_rows,
-    state_from_schmidt,
     state_from_two_unitary,
     two_unitarity_defect,
 )
@@ -72,7 +70,6 @@ def test_party_indices_must_be_integers(call, parties):
         (lambda: PureState(dims=(True, 2), amplitudes=[1, 0]), DimensionError),
         (lambda: k_uniform_check(ghz(), True), ValueError),
         (lambda: multi_unitarity_check(np.eye(4), True, 2), DimensionError),
-        (lambda: default_base_permutation(6.0), DimensionError),
         (lambda: matrix_to_json(np.eye(1), block_dim=True), FormatError),
     ],
     ids=[
@@ -81,14 +78,12 @@ def test_party_indices_must_be_integers(call, parties):
         "PureState",
         "k_uniform_check",
         "multi_unitarity",
-        "default_base_permutation",
         "matrix_to_json",
     ],
 )
 def test_bools_are_not_integers(call, error):
     # True used to pass as 1: cyclic_latin(True) was [[0]], the sweep ran one
-    # seed and the state had dims (1, 2); a JSON record said "block_dim": true,
-    # and the order-6 base came back for the float 6.0
+    # seed and the state had dims (1, 2); a JSON record said "block_dim": true
     with pytest.raises(error, match="must be an int"):
         call()
 
@@ -137,14 +132,21 @@ def test_tolerances_must_be_finite_and_nonnegative(call, tol):
         (lambda: schmidt_decompose(ghz(), [0], rank_tol=1j), "rank_tol must be"),
         (lambda: SearchConfig(d=2, epsilon="0.1"), "epsilon must be a finite number >= 0"),
         (lambda: SearchConfig(d=2, tol=None), "tol must be a finite number > 0"),
+        (lambda: SearchConfig(d=2, tol=True), "tol must be a finite number > 0"),
+        (lambda: qls_verify(square_from_unitary_rows(np.eye(4)), tol=True), "tol must be"),
+        (lambda: SearchConfig(d=2, epsilon=False), "epsilon must be a finite number >= 0"),
+        (lambda: ame_check(ghz(), tol=np.False_), "tol must be a finite number >= 0"),
     ],
     ids=[
         "ame_check", "qls_verify", "amplitude_profile", "multi_unitarity_check",
         "schmidt_decompose", "SearchConfig-epsilon", "SearchConfig-tol",
+        "SearchConfig-tol-True", "qls_verify-True", "SearchConfig-epsilon-False",
+        "ame_check-False",
     ],
 )
 def test_tolerances_that_are_not_numbers_are_value_errors(call, message):
-    # these used to raise a bare TypeError from math.isfinite
+    # these used to raise a bare TypeError from math.isfinite; a bool passed
+    # as 1 or 0, so a search config stored tol True and wrote "tol": true
     with pytest.raises(ValueError, match=message):
         call()
 
@@ -180,17 +182,13 @@ def test_order_zero_is_not_a_bipartite_order(call):
         lambda: amplitude_profile(np.array([[np.nan, 1.0]])),
         lambda: amplitude_profile(np.array([[np.inf, -np.inf]])),
         lambda: amplitude_profile(np.array([[1.0, complex(0, np.nan)]])),
-        lambda: state_from_schmidt([1.0], [[np.inf]], np.eye(1)),
-        lambda: state_from_schmidt([0.5, 0.5], np.eye(2), [[1, 0], [np.nan, 1]]),
     ],
     ids=[
         "amplitude_profile-nan", "amplitude_profile-inf", "amplitude_profile-complex-nan",
-        "state_from_schmidt-u_a", "state_from_schmidt-u_b",
     ],
 )
 def test_non_finite_matrices_are_numeric_errors(call):
     # amplitude_profile used to drop a NaN and answer [(1.0, 1)], and two
-    # infinities raised a bare RuntimeWarning from np.diff; state_from_schmidt
-    # raised one from its product before PureState saw the result
+    # infinities raised a bare RuntimeWarning from np.diff
     with pytest.raises(NumericError, match="matrix has non-finite entries"):
         call()

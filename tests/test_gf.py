@@ -8,7 +8,6 @@ from qeuler import (
     Field,
     NotAPrimePowerError,
     cyclic_latin,
-    is_prime,
     mols_construct,
     prime_power_decompose,
 )
@@ -18,7 +17,7 @@ import oracles
 
 
 def test_prime_predicate_small_range():
-    primes = [n for n in range(60) if is_prime(n)]
+    primes = [n for n in range(60) if prime_power_decompose(n) == (n, 1)]
     assert primes == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59]
 
 
@@ -33,7 +32,6 @@ def test_prime_power_decomposition():
 @pytest.mark.parametrize(
     "order, call",
     [
-        (7, is_prime),
         (9, prime_power_decompose),
         (8, Field),
         (5, cyclic_latin),
@@ -41,9 +39,9 @@ def test_prime_power_decomposition():
     ],
 )
 def test_orders_must_be_integers(order, call):
-    # a float order used to pass through: is_prime(2.5) was True,
-    # prime_power_decompose(7.5) was (7.5, 1), cyclic_latin(2.5) held 0.5
-    # and 1.5, and mols_construct(9.0) and Field(7.5) raised a bare TypeError
+    # a float order used to pass through: prime_power_decompose(7.5) was
+    # (7.5, 1), cyclic_latin(2.5) held 0.5 and 1.5, and mols_construct(9.0)
+    # and Field(7.5) raised a bare TypeError
     for bad in (order + 0.5, float(order), str(order), None):
         with pytest.raises(DimensionError, match="must be an int"):
             call(bad)
@@ -93,6 +91,12 @@ def test_element_label_round_trip_and_range():
         f.element(27)
     with pytest.raises(ValueError):
         f.element(-1)
+    # a label that is not an integer used to pass: element(1.5) had
+    # coefficients (1.5, 0.0) in GF(4), and element(True) was the one
+    for bad in (1.5, 2.0, True, "1", None):
+        with pytest.raises(ValueError, match="label must be an int"):
+            Field(4).element(bad)
+    assert f.element(np.int64(26)).label == 26
 
 
 def test_cross_field_arithmetic_is_rejected():

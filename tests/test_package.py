@@ -50,7 +50,7 @@ def test_star_import_binds_every_public_name():
 
 
 def test_all_lists_each_name_once_and_dir_lists_all():
-    assert len(set(qeuler.__all__)) == len(qeuler.__all__) == 70
+    assert len(set(qeuler.__all__)) == len(qeuler.__all__) == 67
     assert set(qeuler.__all__) <= set(dir(qeuler))
     for module in ("errors", "gf", "linalg", "designs", "states", "solver", "jsonio", "cli"):
         assert getattr(qeuler, module) is importlib.import_module(f"qeuler.{module}")

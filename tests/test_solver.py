@@ -18,7 +18,6 @@ from qeuler import (
     SearchConfig,
     amplitude_profile,
     brute_force_permutations,
-    default_base_permutation,
     mols_construct,
     multi_seed_search,
     ols_to_permutation,
@@ -32,6 +31,7 @@ from qeuler import (
     sinkhorn_step,
     two_unitarity_defect,
     unitarity_defect,
+    verify_latin,
     verify_orthogonal_pair,
 )
 from qeuler import jsonio, solver
@@ -530,13 +530,13 @@ def test_svd_fallback_touches_only_the_failing_seed(monkeypatch):
 
 
 def test_default_base_is_a_near_orthogonal_permutation():
-    base, count = default_base_permutation()
+    base, count = solver._near_ols_permutation(6)
     assert base.shape == (36, 36)
     assert np.all((base == 0) | (base == 1))
     assert (base.sum(axis=0) == 1).all() and (base.sum(axis=1) == 1).all()
     # no orthogonal pair of order six exists, so no pair of Latin squares
     # reaches 36 distinct pairs; the built-in one holds 34
-    assert 30 < count < 36
+    assert count == 34
     assert unitarity_defect(base) == 0.0
     assert two_unitarity_defect(base) > 0.0
     with pytest.raises(NotAnOlsError):
@@ -551,14 +551,6 @@ def test_bases_of_orders_two_and_six_are_pinned():
         base, got = solver._near_ols_permutation(d)
         assert got == count
         assert np.array_equal(base, solver._card_permutation(frozen.BASE_CARDS[d]))
-    assert np.array_equal(default_base_permutation()[0], solver._near_ols_permutation(6)[0])
-
-
-def test_default_base_is_deterministic():
-    a, count_a = default_base_permutation()
-    b, count_b = default_base_permutation()
-    assert np.array_equal(a, b)
-    assert count_a == count_b
 
 
 def test_prime_power_bases_are_orthogonal_pairs():
@@ -623,14 +615,6 @@ def test_cached_base_is_read_only():
     base, _ = solver._near_ols_permutation(3)
     with pytest.raises(ValueError):
         base[0] = 0
-    copy, _ = default_base_permutation()
-    copy[0] = 0
-    assert default_base_permutation()[0][0].sum() == 1
-
-
-def test_default_base_other_orders_are_refused():
-    with pytest.raises(CapabilityError):
-        default_base_permutation(3)
 
 
 # ---------------------------------------------------------------------------
@@ -682,41 +666,38 @@ def test_brute_force_results_are_separate_writable_arrays():
     assert all(m.sum() == 9 for m in brute_force_permutations(3))
 
 
-def test_cached_placement_masks_are_read_only():
-    masks = solver._placement_masks(3)
-    assert masks is solver._placement_masks(3)
-    assert masks.shape == (9, 9) and masks.dtype == np.int64
-    with pytest.raises(ValueError):
-        masks[0, 0] = 0
-    for d in (2, 3):
-        tables = solver._block_placements(d)
-        assert tables is solver._block_placements(d)
-        for table in tables:
-            assert not table.flags.writeable
-            with pytest.raises(ValueError):
-                table[0, 0] = 0
+def test_cached_latin_pairs_are_read_only():
+    # every ordered pair of Latin squares: 2 squares of order 2, 12 of order 3
+    for d, count in ((2, 4), (3, 144)):
+        cards = solver._latin_pairs(d)
+        assert cards is solver._latin_pairs(d)
+        assert cards.shape == (count, d * d) and cards.dtype == np.int64
+        with pytest.raises(ValueError):
+            cards[0, 0] = 0
+        ranks, suits = np.divmod(cards.reshape(count, d, d), d)
+        for square in (*ranks, *suits):
+            assert verify_latin(square).passed
+        assert len({(r.tobytes(), s.tobytes()) for r, s in zip(ranks, suits)}) == count
 
 
-@pytest.mark.parametrize("d", [2, 3])
-def test_block_placements_are_every_disjoint_row_tuple_in_order(d):
-    n = d * d
-    columns = solver._placement_masks(d)
-    rows, masks = solver._block_placements(d)
-    assert rows.shape == (d, math.factorial(d) ** 2, d) and masks.dtype == np.int64
-    for b in range(d):
-        block = columns[b * d : b * d + d]
-        # every tuple of rows whose cells are pairwise disjoint, by brute force
-        expected = [
-            t
-            for t in itertools.product(range(n), repeat=d)
-            if all(
-                int(block[p, t[p]]) & int(block[q, t[q]]) == 0
-                for p, q in itertools.combinations(range(d), 2)
-            )
-        ]
-        assert [tuple(int(r) for r in t) for t in rows[b]] == expected  # lexicographic
-        for t, mask in zip(rows[b], masks[b]):
-            assert int(mask) == int(np.bitwise_or.reduce(block[np.arange(d), t]))
+def test_order_nine_search_agrees_with_trying_every_permutation():
+    # all 9! candidates, 8! at a time in lexicographic order, each kept when
+    # its reshuffle and its partial transpose are permutations too, which
+    # does not go through Latin squares
+    n = 9
+    tails = np.array(list(itertools.permutations(range(n - 1))))
+    columns = np.arange(n)
+    found = []
+    for first in range(n):
+        perm = np.insert(np.delete(columns, first)[tails], 0, first, axis=1)
+        m = np.zeros((len(perm), n, n), dtype=np.int8)
+        m[np.arange(len(perm))[:, None], perm, columns] = 1
+        ok = np.ones(len(perm), dtype=bool)
+        for u in (reshuffle(m), partial_transpose(m)):
+            ok &= (u.sum(axis=1) == 1).all(axis=1) & (u.sum(axis=2) == 1).all(axis=1)
+        found += [tuple(p) for p in perm[ok].tolist()]
+    assert len(found) == 72
+    assert [tuple(m.argmax(axis=0).tolist()) for m in brute_force_permutations(3)] == found
 
 
 def test_brute_force_bound():

@@ -21,7 +21,6 @@ from qeuler import (
     multi_unitarity_check,
     reduced_density,
     schmidt_decompose,
-    state_from_schmidt,
     state_from_two_unitary,
     two_unitarity_defect,
 )
@@ -120,30 +119,6 @@ def test_schmidt_split_validation():
         schmidt_decompose(bell(), (0, 1))
     with pytest.raises(ValueError):
         schmidt_decompose(bell(), (3,))
-
-
-def test_state_from_schmidt_round_trip(rng):
-    lam = rng.random(6)
-    lam /= lam.sum()
-    psi = state_from_schmidt(lam, random_unitary(6, rng), random_unitary(6, rng))
-    s = schmidt_decompose(psi, (0,))
-    assert np.allclose(np.sort(s.lambdas)[::-1], np.sort(lam)[::-1], atol=1e-12)
-
-
-def test_state_from_schmidt_two_term_form():
-    x = 0.3
-    psi = state_from_schmidt([x, 1 - x], np.eye(2), np.eye(2))
-    expected = np.array([math.sqrt(x), 0, 0, math.sqrt(1 - x)])
-    assert np.allclose(psi.amplitudes, expected, atol=1e-15)
-
-
-def test_state_from_schmidt_validation():
-    with pytest.raises(ValueError):
-        state_from_schmidt([0.5, 0.2], np.eye(2), np.eye(2))  # sums to 0.7
-    with pytest.raises(ValueError):
-        state_from_schmidt([-0.1, 1.1], np.eye(2), np.eye(2))
-    with pytest.raises(DimensionError):
-        state_from_schmidt([0.5, 0.5], np.eye(2), np.eye(3)[:2])
 
 
 # ---------------------------------------------------------------------------
