@@ -674,10 +674,21 @@ def test_cached_latin_pairs_are_read_only():
         assert cards.shape == (count, d * d) and cards.dtype == np.int64
         with pytest.raises(ValueError):
             cards[0, 0] = 0
-        ranks, suits = np.divmod(cards.reshape(count, d, d), d)
-        for square in (*ranks, *suits):
-            assert verify_latin(square).passed
-        assert len({(r.tobytes(), s.tobytes()) for r, s in zip(ranks, suits)}) == count
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_latin_pairs_are_every_ordered_pair_of_latin_squares_in_order(d):
+    # the squares by backtracking in the oracle, each ordered pair
+    # card-encoded cell by cell, the card vectors in lexicographic order
+    squares = oracles.all_latin_squares(d)
+    expected = sorted(
+        tuple((r * d + s).ravel().tolist()) for r in squares for s in squares
+    )
+    cards = solver._latin_pairs(d)
+    assert [tuple(c) for c in cards.tolist()] == expected
+    ranks, suits = np.divmod(cards.reshape(-1, d, d), d)
+    for square in (*ranks, *suits):
+        assert verify_latin(square).passed
 
 
 def test_order_nine_search_agrees_with_trying_every_permutation():
