@@ -433,8 +433,9 @@ def search_cmd(
     "--dim",
     type=int,
     required=True,
-    help="Local dimension d (2 or 3): every pair of Latin squares of order d "
-    "is tried, which decides all permutations of order d**2.",
+    help="Local dimension d (2 or 3): the first call at each d tries every pair "
+    "of Latin squares of order d and keeps the orthogonal ones, which decides "
+    "all permutations of order d**2.",
 )
 @click.option(
     "--out",
@@ -448,9 +449,10 @@ def bruteforce_cmd(dim, out_path):
     """Exhaust all order dim**2 permutation matrices for exact 2-unitarity.
 
     A permutation is 2-unitary exactly when it card-encodes an orthogonal
-    pair of Latin squares, so every ordered pair of Latin squares of order
-    dim is tested for a repeated card, which decides every one of the
-    (dim**2)! permutations.
+    pair of Latin squares, so the first call at each order tests every
+    ordered pair of Latin squares of order dim for a repeated card and keeps
+    the orthogonal ones, which decides every one of the (dim**2)!
+    permutations; each call builds fresh matrices from them.
     """
     found = brute_force_permutations(dim)
     n = dim * dim

@@ -119,6 +119,8 @@ class SearchConfig:
                 "only perturbed-permutation seeds start from one"
             )
         object.__setattr__(self, "rng_seed", _integer("rng_seed", self.rng_seed))
+        if self.rng_seed < 0:  # numpy's generators refuse it, naming no option
+            raise ValueError(f"rng_seed must be nonnegative, got {self.rng_seed}")
         _check_tol(self.epsilon, "epsilon")
         if not (_is_finite_number(self.tol) and self.tol > 0):
             raise ValueError(f"tol must be a finite number > 0, got {self.tol!r}")
@@ -215,7 +217,8 @@ def seed_matrix(config: SearchConfig, rng=None) -> np.ndarray:
     noise = (
         rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     ) / math.sqrt(2)
-    return base + config.epsilon * noise
+    with np.errstate(over="ignore"):  # an overflow reads inf, which search refuses
+        return base + config.epsilon * noise
 
 
 def sinkhorn_step(x) -> np.ndarray:
@@ -472,22 +475,25 @@ def _repair_to_permutation(ranks, suits):
 
 
 @lru_cache(maxsize=None)
-def _latin_pairs(d: int) -> np.ndarray:
-    """cards[k]: the card of each cell of the k-th ordered pair of Latin squares.
+def _orthogonal_pairs(d: int) -> np.ndarray:
+    """cards[k]: the card of each cell of the k-th ordered orthogonal Latin pair.
 
     The squares of order d are the d-tuples of rows from
     itertools.permutations whose columns are permutations too, that is,
     in which no (column, symbol) pair repeats. Each ordered pair of them
-    is card-encoded cell by cell as _cards does, and the card vectors are
-    sorted lexicographically: 4 pairs at d = 2, 144 at d = 3. The cached
-    table is read-only, since every call shares it.
+    is card-encoded cell by cell as _cards does and kept when no card
+    repeats, one bit sum per pair, and the card vectors are sorted
+    lexicographically: none at d = 2, 72 at d = 3. The cached table is
+    read-only, since every call shares it.
     """
     rows = itertools.permutations(range(d))
     squares = np.array(list(itertools.permutations(rows, d)), dtype=np.int64)
+    every = (1 << d * d) - 1
     held = 1 << (squares + d * np.arange(d))  # bit c*d + s: symbol s in column c
-    squares = squares[np.add.reduce(held, axis=(1, 2)) == (1 << d * d) - 1]
+    squares = squares[np.add.reduce(held, axis=(1, 2)) == every]
     cards = (squares[:, None] * d + squares[None, :]).reshape(-1, d * d)
-    cards = np.array(sorted(cards.tolist()), dtype=np.int64)
+    cards = cards[np.add.reduce(1 << cards, axis=1) == every]
+    cards = np.array(sorted(cards.tolist()), dtype=np.int64).reshape(-1, d * d)
     cards.flags.writeable = False
     return cards
 
@@ -499,13 +505,14 @@ def brute_force_permutations(d: int) -> list:
     d = 3 (9! = 362880 candidates). A permutation is the card encoding of a
     pair of d x d arrays; its reshuffle and partial transpose are
     permutations exactly when both arrays are Latin squares, and it is one
-    itself exactly when no card repeats. So the search tests every ordered
-    pair of Latin squares (see _latin_pairs) for a repeated card, with one
-    bit sum per pair, which decides all (d*d)! permutations. Results are
-    int64 matrices in the lexicographic order of the underlying
-    permutations, the order of the table. A warm call takes about 3 us at
-    order 4 and 0.03 ms at order 9 on a 2-core Xeon. d must be an integer
-    (numpy integers pass), else it is a DimensionError.
+    itself exactly when no card repeats. So the first call at each order
+    tests every ordered pair of Latin squares for a repeated card, with one
+    bit sum per pair, which decides all (d*d)! permutations, and keeps the
+    orthogonal ones (see _orthogonal_pairs); each call builds fresh int64
+    matrices from them, in the lexicographic order of the underlying
+    permutations. A warm call takes about 0.3 us at order 4 and 16 us at
+    order 9 on a 2-core Xeon. d must be an integer (numpy integers pass),
+    else it is a DimensionError.
     """
     d = _integer("d", d, DimensionError)
     if d not in (2, 3):
@@ -514,14 +521,11 @@ def brute_force_permutations(d: int) -> list:
             "of reach; d must be 2 or 3"
         )
     n = d * d
-    cards = _latin_pairs(d)
-    orthogonal = np.add.reduce(1 << cards, axis=1) == (1 << n) - 1
-    k = np.count_nonzero(orthogonal)  # cheaper than indexing when none pass
-    if not k:
+    perm = _orthogonal_pairs(d)  # perm[k, nu]: the row of column nu
+    if not len(perm):  # order 2: scattering nothing costs more than the rest
         return []
-    perm = cards[orthogonal]  # perm[k, nu]: the row of column nu
-    found = np.zeros((k, n, n), dtype=np.int64)
-    found[np.arange(k)[:, None], perm, np.arange(n)] = 1
+    found = np.zeros((len(perm), n, n), dtype=np.int64)
+    found[np.arange(len(perm))[:, None], perm, np.arange(n)] = 1
     return list(found)
 
 

@@ -467,6 +467,13 @@ def test_search_malformed_tolerance_or_noise_is_usage_error(runner, flag, value)
     assert "converged" not in result.output
 
 
+def test_search_negative_rng_seed_is_usage_error(runner):
+    # numpy's own refusal used to reach the user, naming no option
+    result = invoke(runner, "search", "--dim", "2", "--seeds", "2", "--rng-seed", "-1")
+    assert result.exit_code == 2
+    assert "rng_seed" in result.output
+
+
 def test_search_zero_jobs_is_usage_error(runner):
     result = invoke(runner, "search", "--dim", "2", "--seeds", "2", "--jobs", "0")
     assert result.exit_code == 2

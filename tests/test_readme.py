@@ -4,7 +4,8 @@ The python blocks run in order in one namespace, since later blocks use the
 names earlier ones define; a statement whose last line ends in "# raises X"
 must raise X, a package error or a builtin one. Every `qeuler` line of the
 CLI section runs, in order, in one scratch directory, since later commands
-read the files earlier ones write, and must exit 0.
+read the files earlier ones write, and must exit 0 with the warnings that
+pyproject.toml raises in-process raised as errors.
 """
 
 import ast
@@ -19,6 +20,13 @@ from pathlib import Path
 import qeuler
 
 README = Path(__file__).resolve().parents[1] / "README.md"
+# pyproject.toml's filterwarnings, which reach no subprocess
+WARNINGS_AS_ERRORS = [
+    "-Werror::RuntimeWarning",
+    "-Werror::DeprecationWarning",
+    "-Werror::PendingDeprecationWarning",
+    "-Werror::FutureWarning",
+]
 
 
 def test_readme_python_examples_run():
@@ -60,7 +68,8 @@ def test_readme_cli_examples_exit_zero(tmp_path):
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = {**os.environ, "PYTHONPATH": path}
     for command in commands:
-        argv = [sys.executable, "-m", "qeuler.cli"] + shlex.split(command)[1:]
+        argv = [sys.executable, *WARNINGS_AS_ERRORS, "-m", "qeuler.cli"]
+        argv += shlex.split(command)[1:]
         proc = subprocess.run(
             argv, cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120
         )

@@ -111,7 +111,7 @@ def test_search_config_takes_integer_iteration_caps_only():
     config = SearchConfig(d=3, max_iter=np.int64(7))
     assert type(config.max_iter) is int and config.resolved_max_iter == 7
     # so does the seed of a sweep: a numpy one used to reach the JSON record
-    for rng_seed in (2.0, 2.5, "2", None):
+    for rng_seed in (2.0, 2.5, "2", None, -1):
         with pytest.raises(ValueError, match="rng_seed"):
             SearchConfig(d=3, rng_seed=rng_seed)
     config = SearchConfig(d=3, rng_seed=np.int64(2))
@@ -176,11 +176,16 @@ def test_random_unitary_seed_takes_no_base(p9):
 def test_search_rejects_a_non_finite_seed(p9):
     base = p9.astype(complex)
     base[4, 2] = np.nan
-    config = SearchConfig(d=3, epsilon=0.0, base_matrix=base)
-    with pytest.raises(NumericError, match="non-finite"):
-        search(config)
-    with pytest.raises(NumericError, match="non-finite"):
-        multi_seed_search(config, 2, jobs=1)
+    # seed 1 draws a noise entry whose product with 1e308 overflows, which
+    # used to leak numpy's RuntimeWarning
+    for config in (
+        SearchConfig(d=3, epsilon=0.0, base_matrix=base),
+        SearchConfig(d=3, epsilon=1e308, rng_seed=1),
+    ):
+        with pytest.raises(NumericError, match="non-finite"):
+            search(config)
+        with pytest.raises(NumericError, match="non-finite"):
+            multi_seed_search(config, 2, jobs=1)
 
 
 # ---------------------------------------------------------------------------
@@ -666,29 +671,31 @@ def test_brute_force_results_are_separate_writable_arrays():
     assert all(m.sum() == 9 for m in brute_force_permutations(3))
 
 
-def test_cached_latin_pairs_are_read_only():
-    # every ordered pair of Latin squares: 2 squares of order 2, 12 of order 3
-    for d, count in ((2, 4), (3, 144)):
-        cards = solver._latin_pairs(d)
-        assert cards is solver._latin_pairs(d)
+def test_cached_orthogonal_pairs_are_read_only():
+    # the ordered orthogonal pairs: none of order 2, 72 of order 3
+    for d, count in ((2, 0), (3, 72)):
+        cards = solver._orthogonal_pairs(d)
+        assert cards is solver._orthogonal_pairs(d)
         assert cards.shape == (count, d * d) and cards.dtype == np.int64
         with pytest.raises(ValueError):
-            cards[0, 0] = 0
+            cards[...] = 0
 
 
 @pytest.mark.parametrize("d", [2, 3])
-def test_latin_pairs_are_every_ordered_pair_of_latin_squares_in_order(d):
+def test_orthogonal_pairs_are_every_ordered_orthogonal_pair_in_order(d):
     # the squares by backtracking in the oracle, each ordered pair
-    # card-encoded cell by cell, the card vectors in lexicographic order
+    # card-encoded cell by cell and kept when no card repeats, the card
+    # vectors in lexicographic order
     squares = oracles.all_latin_squares(d)
-    expected = sorted(
-        tuple((r * d + s).ravel().tolist()) for r in squares for s in squares
-    )
-    cards = solver._latin_pairs(d)
+    assert len(squares) == {2: 2, 3: 12}[d]
+    encoded = (tuple((r * d + s).ravel().tolist()) for r in squares for s in squares)
+    expected = sorted(cards for cards in encoded if len(set(cards)) == d * d)
+    assert expected == oracles.card_encoded_orthogonal_pairs(d)
+    cards = solver._orthogonal_pairs(d)
     assert [tuple(c) for c in cards.tolist()] == expected
-    ranks, suits = np.divmod(cards.reshape(-1, d, d), d)
-    for square in (*ranks, *suits):
-        assert verify_latin(square).passed
+    for ranks, suits in zip(*np.divmod(cards.reshape(-1, d, d), d)):
+        assert verify_latin(ranks).passed and verify_latin(suits).passed
+        assert verify_orthogonal_pair(OrthogonalLatinPair(ranks, suits)).passed
 
 
 def test_order_nine_search_agrees_with_trying_every_permutation():
